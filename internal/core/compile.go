@@ -26,8 +26,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/bv"
 	"repro/internal/cover"
@@ -61,17 +59,12 @@ type compBlock struct {
 }
 
 // compileCache is the engine-wide compiled-code store, shared across
-// workers. Counters are atomic; the maps are sync.Maps because workers
-// populate them concurrently (a racing double-compile is resolved by
-// LoadOrStore and only wastes the losing compile).
+// workers. The maps are sync.Maps because workers populate them
+// concurrently (a racing double-compile is resolved by LoadOrStore and
+// only wastes the losing compile).
 type compileCache struct {
 	units  sync.Map // uint64 -> *compEntry
 	blocks sync.Map // uint64 -> *compBlock
-
-	unitCount  atomic.Int64
-	blockCount atomic.Int64
-	blockHits  atomic.Int64
-	blockInsns atomic.Int64
 }
 
 func newCompileCache() *compileCache { return &compileCache{} }
@@ -98,16 +91,7 @@ func (e *Engine) entryAt(st *State, pc uint64) (*compEntry, error) {
 		// compiled and interpreted runs fault identically.
 		return nil, fmt.Errorf("symbolic instruction bytes at %#x", pc)
 	}
-	e.report.Stats.DecodeCalls++
-	e.m.decodeCalls.Inc()
-	var t0 time.Time
-	if e.m.on {
-		t0 = time.Now()
-	}
-	d, err := e.Dec.Decode(buf)
-	if e.m.on {
-		e.m.decodeSeconds.ObserveSince(t0)
-	}
+	d, err := e.decodeAt(pc, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -120,9 +104,7 @@ func (e *Engine) entryAt(st *State, pc uint64) (*compEntry, error) {
 	if prev, loaded := e.compiled.units.LoadOrStore(pc, ent); loaded {
 		return prev.(*compEntry), nil
 	}
-	e.compiled.unitCount.Add(1)
-	e.m.compiledUnits.Inc()
-	e.prof.CompileMiss(pc)
+	e.rec.unit()
 	return ent, nil
 }
 
@@ -160,11 +142,7 @@ func (e *Engine) blockFor(st *State) *compBlock {
 		blk.shared = true
 		e.compiled.blocks.Store(pc, blk)
 		if len(blk.units) > 0 {
-			e.compiled.blockCount.Add(1)
-			e.m.superblockBuilds.Inc()
-			if e.m.on {
-				e.m.superblockLen.Observe(float64(len(blk.units)))
-			}
+			e.rec.superblock(len(blk.units))
 		}
 	}
 	return blk
@@ -198,19 +176,11 @@ func (e *Engine) stepCompiled(st *State) ([]*State, error) {
 // coverage hits, injection sites, the MaxSteps check — fires per unit,
 // so a compiled run is observationally per-instruction.
 func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
-	e.compiled.blockHits.Add(1)
-	e.m.superblockHits.Inc()
 	maxLen := e.Arch.MaxInsnBytes()
 	pcReg := e.Arch.PC
 	ec := &execCtx{e: e}
-	n := int64(0)
-	defer func() {
-		e.compiled.blockInsns.Add(n)
-		e.m.superblockInsns.Add(n)
-		if blk.shared {
-			e.prof.ExecBlock(blk, blk.prof, int(n))
-		}
-	}()
+	n := 0
+	defer func() { e.rec.block(blk, n) }()
 	for i, ent := range blk.units {
 		pc := st.PC
 		if i > 0 {
@@ -221,20 +191,13 @@ func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 				break // self-modified under this state: re-enter via step
 			}
 		}
-		e.recordVisit(pc)
-		e.report.Stats.Instructions++
-		e.m.instructions.Inc()
-		e.cov.Hit(cover.LSym, ent.dec.Insn)
-		if e.prof != nil && !blk.shared {
-			e.prof.Exec(pc, ent.unit.Mnemonic, ent.unit.Format)
-			e.prof.Edge(pc, ent.cont)
-		}
+		e.rec.exec(pc, ent.dec.Insn, e.visit(pc), false)
 		st.Steps++
 		n++
 		// Translate-layer parity: the interpreter's SymEval.Exec fires
 		// the injection site and coverage hit once per instruction.
 		e.inject.Fire(faultinject.SiteTranslate)
-		e.cov.Hit(cover.LTranslate, ent.dec.Insn)
+		e.rec.cov.Hit(cover.LTranslate, ent.dec.Insn)
 		st.SetReg(pcReg, e.B.Const(pcReg.Width, ent.cont))
 		ec.st, ec.insAddr, ec.disasm = st, pc, ent.disasm
 		ec.infeasible, ec.err = false, nil
@@ -257,7 +220,7 @@ func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 		}
 		// The interpreted resolvePC records the fall-through branch
 		// outcome for the sym coverage layer.
-		e.cov.Branch(cover.LSym, ent.dec.Insn, false)
+		e.rec.cov.Branch(cover.LSym, ent.dec.Insn, false)
 		st.PC = ent.cont
 	}
 	return []*State{st}, nil
@@ -268,16 +231,10 @@ func (e *Engine) runBlock(st *State, blk *compBlock) ([]*State, error) {
 // continuation arithmetic replaced by the cached entry.
 func (e *Engine) execEntry(st *State, ent *compEntry) ([]*State, error) {
 	insAddr := st.PC
-	e.recordVisit(insAddr)
-	e.report.Stats.Instructions++
-	e.m.instructions.Inc()
-	e.cov.Hit(cover.LSym, ent.dec.Insn)
-	if e.prof != nil {
-		e.prof.Exec(insAddr, ent.unit.Mnemonic, ent.unit.Format)
-	}
+	e.rec.exec(insAddr, ent.dec.Insn, e.visit(insAddr), true)
 	st.Steps++
 	e.inject.Fire(faultinject.SiteTranslate)
-	e.cov.Hit(cover.LTranslate, ent.dec.Insn)
+	e.rec.cov.Hit(cover.LTranslate, ent.dec.Insn)
 
 	pcReg := e.Arch.PC
 	st.SetReg(pcReg, e.B.Const(pcReg.Width, ent.cont))
@@ -307,14 +264,4 @@ func (e *Engine) execEntry(st *State, ent *compEntry) ([]*State, error) {
 		out = append(out, next...)
 	}
 	return out, nil
-}
-
-// snapshotCompileStats copies the shared cache counters into the
-// report's deterministic stats block (end of run, both serial and
-// parallel).
-func (e *Engine) snapshotCompileStats() {
-	e.report.Stats.CompiledUnits = e.compiled.unitCount.Load()
-	e.report.Stats.Superblocks = e.compiled.blockCount.Load()
-	e.report.Stats.SuperblockHits = e.compiled.blockHits.Load()
-	e.report.Stats.SuperblockInsns = e.compiled.blockInsns.Load()
 }

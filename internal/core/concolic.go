@@ -46,7 +46,7 @@ type ConcolicReport struct {
 func (e *Engine) Concolic(seed []byte, maxRuns int) (*ConcolicReport, error) {
 	e.report = Report{}
 	e.bugSeen = newBugDedup()
-	defer e.profiler.Fold(e.prof)
+	defer e.finishRun(e.begin(nil))
 	rep := &ConcolicReport{}
 	covered := map[uint64]bool{}
 	tried := map[string]bool{}
@@ -69,7 +69,7 @@ func (e *Engine) Concolic(seed []byte, maxRuns int) (*ConcolicReport, error) {
 			return nil, err
 		}
 		rep.Paths = append(rep.Paths, *path)
-		e.progress.addPaths(1)
+		e.rec.concreteRun()
 
 		// Record this path's branch prefixes as explored.
 		var sig strings.Builder
@@ -112,8 +112,7 @@ func (e *Engine) Concolic(seed []byte, maxRuns int) (*ConcolicReport, error) {
 		queue = append(queue, newInputs...)
 	}
 	rep.Coverage = len(covered)
-	rep.Stats = e.report.Stats
-	rep.Stats.Solver = e.Solver.Stats
+	rep.Stats = e.stats(0)
 	rep.Faults = append(rep.Faults, e.report.Faults...)
 	rep.Bugs = append(rep.Bugs, e.report.Bugs...)
 	sort.Slice(rep.Bugs, func(i, j int) bool { return rep.Bugs[i].PC < rep.Bugs[j].PC })

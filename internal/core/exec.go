@@ -32,7 +32,8 @@ func (e *Engine) Run() (*Report, error) {
 	t0 := time.Now()
 	e.report = Report{}
 	e.bugSeen = newBugDedup()
-	defer e.profiler.Fold(e.prof)
+	blks := e.begin(nil)
+	defer e.finishRun(blks)
 
 	var live []*State
 	if e.Opts.Resume != nil {
@@ -69,7 +70,7 @@ func (e *Engine) Run() (*Report, error) {
 		}
 		var killReason string
 		switch {
-		case e.report.Stats.PathsDone >= e.Opts.MaxPaths:
+		case e.rec.blk.get(cPaths) >= int64(e.Opts.MaxPaths):
 			killReason = "max-paths"
 		case e.Opts.StopOnBug && len(e.report.Bugs) > 0:
 			killReason = "stop-on-bug"
@@ -79,27 +80,10 @@ func (e *Engine) Run() (*Report, error) {
 			killReason = "canceled"
 		}
 		if killReason != "" {
-			e.report.Stats.StatesKilled += len(live)
-			e.m.statesKilled.Add(int64(len(live)))
-			if e.prof != nil {
-				for _, s := range live {
-					e.prof.Kill(s.PC)
-				}
-			}
-			if e.tr != nil {
-				e.tr.Event("kill", e.workerID, -1, 0,
-					fmt.Sprintf("%s (%d live states)", killReason, len(live)))
-			}
+			e.rec.killAll(live, killReason, "live")
 			break
 		}
-		if len(live) > e.report.Stats.MaxLiveSet {
-			e.report.Stats.MaxLiveSet = len(live)
-		}
-		if e.m.on {
-			e.m.frontierDepth.Set(int64(len(live)))
-			e.m.liveMax.Max(int64(len(live)))
-		}
-		e.progress.setFrontier(int64(len(live)))
+		e.rec.frontier(len(live))
 		var st *State
 		st, live = e.pick(live)
 
@@ -113,27 +97,46 @@ func (e *Engine) Run() (*Report, error) {
 			} else if len(live) < e.Opts.MaxStates {
 				live = append(live, c)
 			} else {
-				e.report.Stats.StatesKilled++
-				e.m.statesKilled.Inc()
-				e.prof.Kill(c.PC)
-				if e.tr != nil {
-					e.tr.Event("kill", e.workerID, c.ID, c.PC, "max-states")
-				}
+				e.rec.kill(c, "max-states")
 			}
 		}
 		if e.Opts.MergeStates {
 			live = e.mergeLive(live)
 		}
 	}
-	if e.m.on {
-		e.m.frontierDepth.Set(0)
-	}
-	e.progress.setFrontier(0)
-	e.report.Stats.WallTime = e.resumedWall + time.Since(t0)
-	e.report.Stats.Solver = e.Solver.Stats
-	e.report.Stats.Coverage = len(e.visits)
-	e.snapshotCompileStats()
+	e.report.Stats = e.stats(time.Since(t0))
 	return &e.report, nil
+}
+
+// begin starts recording one run: fresh counter blocks for this engine
+// and the given parallel workers, published to the live views — the
+// Progress (replacing the blocks of any earlier run) and the registry
+// series. finishRun ends it.
+func (e *Engine) begin(workers []*Engine) []*block {
+	e.rec.blk = new(block)
+	blks := []*block{e.rec.blk}
+	for _, w := range workers {
+		blks = append(blks, w.rec.blk)
+	}
+	e.Opts.Progress.attach(blks)
+	e.series.attach(blks)
+	return blks
+}
+
+// finishRun retires a run's blocks into the registry totals and folds
+// this engine's profile shard.
+func (e *Engine) finishRun(blks []*block) {
+	e.series.retire(blks)
+	e.profiler.Fold(e.rec.prof)
+}
+
+// stats is the Stats view of this engine's block, with elapsed the wall
+// time of this process's leg of the run.
+func (e *Engine) stats(elapsed time.Duration) Stats {
+	s := fold([]*block{e.rec.blk}).stats()
+	s.Solver = e.Solver.Stats
+	s.WallTime = e.resumedWall + elapsed
+	return s
 }
 
 func (e *Engine) initialState() *State {
@@ -151,9 +154,7 @@ func (e *Engine) initialState() *State {
 	if e.Arch.SP != nil {
 		st.SetReg(e.Arch.SP, e.B.Const(e.Arch.SP.Width, bv.Trunc(e.Opts.StackBase, e.Arch.SP.Width)))
 	}
-	if e.tr != nil {
-		e.tr.Event("spawn", e.workerID, st.ID, st.PC, "entry")
-	}
+	e.rec.spawn(st)
 	return st
 }
 
@@ -179,19 +180,7 @@ func (e *Engine) pick(live []*State) (*State, []*State) {
 }
 
 func (e *Engine) finish(st *State) {
-	e.report.Stats.PathsDone++
-	e.m.pathsDone.Inc()
-	e.progress.addPaths(1)
-	if e.tr != nil {
-		detail := st.Status.String()
-		if st.Fault != "" {
-			detail += ": " + st.Fault
-		}
-		e.tr.Event("end", e.workerID, st.ID, st.PC, detail)
-	}
-	if st.Depth > e.report.Stats.MaxDepth {
-		e.report.Stats.MaxDepth = st.Depth
-	}
+	e.rec.end(st)
 	pr := PathResult{
 		ID:       st.ID,
 		Status:   st.Status,
@@ -228,21 +217,14 @@ func (e *Engine) visitCount(pc uint64) int64 {
 	return e.visits[pc]
 }
 
-// recordVisit bumps the per-pc execution count. It is called exactly
-// once per executed instruction (interpreted or compiled), so it also
-// feeds the live-progress instruction and distinct-address counters.
-func (e *Engine) recordVisit(pc uint64) {
+// visit bumps the per-pc execution count and reports whether pc was
+// executed for the first time in the run.
+func (e *Engine) visit(pc uint64) bool {
 	if e.shVisits != nil {
-		if e.shVisits.inc(pc) {
-			e.progress.incCovered()
-		}
-	} else {
-		e.visits[pc]++
-		if e.visits[pc] == 1 {
-			e.progress.incCovered()
-		}
+		return e.shVisits.inc(pc)
 	}
-	e.progress.incInstructions()
+	e.visits[pc]++
+	return e.visits[pc] == 1
 }
 
 func (st *State) done(status Status) *State {
@@ -275,19 +257,7 @@ func (e *Engine) decode(st *State) (decoder.Decoded, error) {
 	if !ok {
 		return decoder.Decoded{}, fmt.Errorf("symbolic instruction bytes at %#x", st.PC)
 	}
-	e.report.Stats.DecodeCalls++
-	e.m.decodeCalls.Inc()
-	e.prof.CompileMiss(st.PC)
-	// Only the actual decoder call is timed: translation-cache hits (the
-	// common case) must not pay for two clock reads per instruction.
-	var t0 time.Time
-	if e.m.on {
-		t0 = time.Now()
-	}
-	d, err := e.Dec.Decode(buf)
-	if e.m.on {
-		e.m.decodeSeconds.ObserveSince(t0)
-	}
+	d, err := e.decodeAt(st.PC, buf)
 	if err != nil {
 		return decoder.Decoded{}, err
 	}
@@ -297,20 +267,16 @@ func (e *Engine) decode(st *State) (decoder.Decoded, error) {
 	return d, nil
 }
 
+// decodeAt runs the decoder on the instruction bytes fetched at pc: a
+// translation-cache miss of the interpreted or the compiled path.
+func (e *Engine) decodeAt(pc uint64, buf []byte) (decoder.Decoded, error) {
+	defer e.rec.decode(pc, e.rec.now())
+	return e.Dec.Decode(buf)
+}
+
 // step executes one instruction of st and returns the successor states
 // (one or more on forks; completed states have Done set).
 func (e *Engine) step(st *State) ([]*State, error) {
-	var t0 time.Time
-	if e.m.on {
-		// Sampled: the two clock reads dominate the instrument cost on
-		// hosts without a vDSO clock, so only every StepSampleRate-th
-		// instruction is timed (the counter is per worker, not shared).
-		e.m.stepTick++
-		if e.m.stepTick%StepSampleRate == 0 {
-			t0 = time.Now()
-			defer e.m.stepSeconds.ObserveSince(t0)
-		}
-	}
 	// Compiled execution (docs/compile.md): when the instruction bytes
 	// come from the unmodified image, run through the shared cache of
 	// closure-compiled units and superblocks. States whose memory
@@ -325,13 +291,7 @@ func (e *Engine) step(st *State) ([]*State, error) {
 		st.Fault = err.Error()
 		return []*State{st.done(StatusDecode)}, nil
 	}
-	e.recordVisit(st.PC)
-	e.report.Stats.Instructions++
-	e.m.instructions.Inc()
-	e.cov.Hit(cover.LSym, dec.Insn)
-	if e.prof != nil {
-		e.prof.Exec(st.PC, dec.Insn.Mnemonic, formatName(dec.Insn))
-	}
+	e.rec.exec(st.PC, dec.Insn, e.visit(st.PC), true)
 	st.Steps++
 
 	insAddr := st.PC
@@ -344,7 +304,7 @@ func (e *Engine) step(st *State) ([]*State, error) {
 	st.SetReg(pcReg, e.B.Const(pcReg.Width, cont))
 
 	ec := &execCtx{e: e, st: st, insAddr: insAddr, disasm: disasm}
-	ev := &rtl.SymEval{B: e.B, A: e.Arch, Cov: e.cov, Inject: e.inject}
+	ev := &rtl.SymEval{B: e.B, A: e.Arch, Cov: e.rec.cov, Inject: e.inject}
 	events := ev.Exec(ec, dec.Insn, dec.Ops)
 	if ec.err != nil {
 		return nil, ec.err
@@ -387,7 +347,7 @@ func (e *Engine) handleEvents(st *State, events []rtl.Event, pc uint64, disasm s
 		if ev.Kind != rtl.EvDiv {
 			continue
 		}
-		e.cov.Event(cover.LSym, cover.EvDiv)
+		e.rec.cov.Event(cover.LSym, cover.EvDiv)
 		ctx := &CheckCtx{Engine: e, State: st, PC: pc, Insn: disasm, Guard: ev.Guard}
 		for _, c := range e.checkers {
 			c.Div(ctx, ev.Code)
@@ -412,14 +372,14 @@ func (e *Engine) handleEvents(st *State, events []rtl.Event, pc uint64, disasm s
 			}
 			switch ev.Kind {
 			case rtl.EvFault:
-				e.cov.Event(cover.LSym, cover.EvFault)
+				e.rec.cov.Event(cover.LSym, cover.EvFault)
 				taken.Fault = ev.Msg
 				done = append(done, taken.done(StatusFault))
 			case rtl.EvHalt:
-				e.cov.Event(cover.LSym, cover.EvHalt)
+				e.rec.cov.Event(cover.LSym, cover.EvHalt)
 				done = append(done, taken.done(StatusHalt))
 			case rtl.EvTrap:
-				e.cov.Event(cover.LSym, cover.EvTrap)
+				e.rec.cov.Event(cover.LSym, cover.EvTrap)
 				after := e.trap(taken, ev.Code, pc)
 				if after.Done {
 					done = append(done, after)
@@ -443,14 +403,7 @@ func (e *Engine) splitOnGuard(st *State, guard *expr.Expr) (taken, fallthru *Sta
 	if guard.Kind() == expr.KBoolConst { // constant false
 		return nil, st, nil
 	}
-	e.report.Stats.Forks++
-	e.m.forks.Inc()
-	e.progress.addForks(1)
-	e.prof.Fork(st.PC, 1)
-	var t0 time.Time
-	if e.m.on || e.tr != nil {
-		t0 = time.Now()
-	}
+	t0 := e.rec.now()
 	sat, err := e.feasible(append(st.PathCond, guard))
 	if err != nil {
 		return nil, nil, err
@@ -459,13 +412,6 @@ func (e *Engine) splitOnGuard(st *State, guard *expr.Expr) (taken, fallthru *Sta
 		taken = st.clone(e.nextID)
 		e.nextID++
 		taken.appendCond(guard)
-		if e.tr != nil {
-			e.tr.Event("fork", e.workerID, taken.ID, st.PC, fmt.Sprintf("guard taken, parent=%d", st.ID))
-		}
-	} else {
-		e.report.Stats.Infeasible++
-		e.m.infeasible.Inc()
-		e.prof.Infeasible(st.PC)
 	}
 	neg := e.B.BoolNot(guard)
 	sat, err = e.feasible(append(st.PathCond, neg))
@@ -475,18 +421,8 @@ func (e *Engine) splitOnGuard(st *State, guard *expr.Expr) (taken, fallthru *Sta
 	if sat {
 		st.appendCond(neg)
 		fallthru = st
-	} else {
-		e.report.Stats.Infeasible++
-		e.m.infeasible.Inc()
-		e.prof.Infeasible(st.PC)
 	}
-	if e.m.on {
-		e.m.branchSeconds.ObserveSince(t0)
-	}
-	if e.tr != nil {
-		e.tr.Span("branch", e.workerID, st.ID, st.PC, t0,
-			fmt.Sprintf("guard: taken=%v fallthru=%v", taken != nil, fallthru != nil))
-	}
+	e.rec.guard(st, taken, fallthru, t0)
 	return taken, fallthru, nil
 }
 
@@ -596,10 +532,7 @@ func (e *Engine) splitTargets(pcv *expr.Expr, conds []*expr.Expr) ([]target, boo
 func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAddr uint64) ([]*State, error) {
 	var out []*State
 	if len(ts) > 1 {
-		e.report.Stats.Forks += int64(len(ts) - 1)
-		e.m.forks.Add(int64(len(ts) - 1))
-		e.progress.addForks(int64(len(ts) - 1))
-		e.prof.Fork(insAddr, int64(len(ts)-1))
+		e.rec.fork(insAddr, int64(len(ts)-1))
 	}
 	cont := bv.Trunc(insAddr+uint64(dec.Len), e.Arch.Bits)
 	baseSig := st.sig
@@ -608,43 +541,23 @@ func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAdd
 		taken := bv.Trunc(t.addr, e.Arch.Bits) != cont
 		checked := len(ts) > 1 || len(t.conds) > 0
 		if checked {
-			var t0 time.Time
-			if e.m.on || e.tr != nil {
-				t0 = time.Now()
-			}
+			t0 := e.rec.now()
 			ok, err := e.feasible(cond)
 			if err != nil {
 				return nil, err
 			}
-			if e.m.on {
-				e.m.branchSeconds.ObserveSince(t0)
-			}
-			if e.tr != nil {
-				e.tr.Span("branch", e.workerID, st.ID, st.PC,
-					t0, fmt.Sprintf("target %#x: feasible=%v", t.addr, ok))
-			}
+			e.rec.target(st, t.addr, t0, ok, dec.Insn, taken)
 			if !ok {
-				e.report.Stats.Infeasible++
-				e.m.infeasible.Inc()
-				e.prof.Infeasible(insAddr)
 				continue
 			}
-			e.cov.Branch(cover.LSolver, dec.Insn, taken)
 		}
-		e.cov.Branch(cover.LSym, dec.Insn, taken)
-		var child *State
-		if i == len(ts)-1 {
-			child = st // reuse the parent for the last side
-			if len(ts) > 1 {
-				child.Depth++
-			}
-		} else {
+		child := st // reuse the parent for the last side
+		cloned := i < len(ts)-1
+		if cloned {
 			child = st.clone(e.nextID)
 			e.nextID++
-			if e.tr != nil {
-				e.tr.Event("fork", e.workerID, child.ID, st.PC,
-					fmt.Sprintf("branch to %#x, parent=%d", t.addr, st.ID))
-			}
+		} else if len(ts) > 1 {
+			child.Depth++
 		}
 		child.PathCond = cond
 		sig := baseSig
@@ -653,7 +566,7 @@ func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAdd
 		}
 		child.sig = sig
 		child.PC = bv.Trunc(t.addr, e.Arch.Bits)
-		e.prof.Edge(insAddr, child.PC)
+		e.rec.successor(st, child, insAddr, dec.Insn, taken, cloned)
 		out = append(out, child)
 	}
 	return out, nil
@@ -672,18 +585,9 @@ func (e *Engine) enumerateJump(st *State, pcv *expr.Expr) ([]*State, error) {
 	var out []*State
 	excl := append([]*expr.Expr(nil), st.PathCond...)
 	for i := 0; i < e.Opts.MaxJumpTargets; i++ {
-		var t0 time.Time
-		if e.m.on || e.tr != nil {
-			t0 = time.Now()
-		}
+		t0 := e.rec.now()
 		r, err := e.Solver.Check(excl...)
-		if e.m.on {
-			e.m.branchSeconds.ObserveSince(t0)
-		}
-		if e.tr != nil {
-			e.tr.Span("jump-enum", e.workerID, st.ID, st.PC, t0,
-				fmt.Sprintf("model %d: %v", i, r))
-		}
+		e.rec.jumpModel(st, i, t0, r)
 		deg, err := e.degradeUnknown(err, DegradeJumpEnumBudget, DegradeJumpEnumDeadline)
 		if err != nil {
 			return nil, err
@@ -701,15 +605,7 @@ func (e *Engine) enumerateJump(st *State, pcv *expr.Expr) ([]*State, error) {
 		child.PC = addr
 		out = append(out, child)
 		excl = append(excl, e.B.BoolNot(eq))
-		e.report.Stats.Forks++
-		e.m.forks.Inc()
-		e.progress.addForks(1)
-		e.prof.Fork(st.PC, 1)
-		e.prof.Edge(st.PC, addr)
-		if e.tr != nil {
-			e.tr.Event("fork", e.workerID, child.ID, st.PC,
-				fmt.Sprintf("jump target %#x, parent=%d", addr, st.ID))
-		}
+		e.rec.jump(st, child)
 	}
 	if len(out) == 0 {
 		st.Fault = "unresolvable symbolic jump target"

@@ -6,15 +6,14 @@
 // StatusPanic, its siblings and the run continue. Solver budget and
 // deadline exhaustion route through one degradation policy point
 // (degradeUnknown) that over-approximates instead of erroring, with
-// every decision counted per cause in Stats.Degraded and the
-// degraded_total metric series.
+// every decision counted per cause in the engine's counter block (read
+// as Stats.Degraded and the degraded_total metric series).
 
 package core
 
 import (
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/faultinject"
@@ -95,13 +94,6 @@ func (c DegradeCause) String() string {
 // DegradeStats counts graceful degradations by cause for one run.
 type DegradeStats [NumDegradeCauses]int64
 
-// Add accumulates o into d (used to merge per-worker stats).
-func (d *DegradeStats) Add(o DegradeStats) {
-	for i, n := range o {
-		d[i] += n
-	}
-}
-
 // Total sums all causes.
 func (d DegradeStats) Total() int64 {
 	var t int64
@@ -109,14 +101,6 @@ func (d DegradeStats) Total() int64 {
 		t += n
 	}
 	return t
-}
-
-// degrade records one graceful degradation.
-func (e *Engine) degrade(cause DegradeCause) {
-	e.report.Stats.Degraded[cause]++
-	e.m.degraded[cause].Inc()
-	e.progress.incDegraded()
-	e.prof.Degrade(cause.String())
 }
 
 // degradeUnknown is the single policy point for unknown solver results.
@@ -129,10 +113,10 @@ func (e *Engine) degradeUnknown(err error, budget, deadline DegradeCause) (degra
 	case nil:
 		return false, nil
 	case smt.ErrBudget:
-		e.degrade(budget)
+		e.rec.degrade(budget)
 		return true, nil
 	case smt.ErrDeadline:
-		e.degrade(deadline)
+		e.rec.degrade(deadline)
 		return true, nil
 	}
 	return false, err
@@ -164,11 +148,11 @@ func layerOf(r any, boundary string) string {
 	return boundary
 }
 
-// recordFault appends a fault to the run report and bumps the counters.
-func (e *Engine) recordFault(pf PathFault) {
+// recordFault appends a fault to the run report and records it; st is
+// the state it killed, nil for a fault outside any path.
+func (e *Engine) recordFault(pf PathFault, st *State) {
 	e.report.Faults = append(e.report.Faults, pf)
-	e.report.Stats.PathFaults++
-	e.m.faults[faultLayerIndex(pf.Layer)].Inc()
+	e.rec.fault(pf, st)
 }
 
 // recoverFault converts a panic recovered at the per-path boundary into
@@ -184,10 +168,7 @@ func (e *Engine) recoverFault(st *State, r any) {
 	st.PathFault = &pf
 	st.Fault = pf.Msg
 	st.done(StatusPanic)
-	e.recordFault(pf)
-	if e.tr != nil {
-		e.tr.Event("kill", e.workerID, st.ID, st.PC, "panic: "+pf.Layer)
-	}
+	e.recordFault(pf, st)
 }
 
 // safeStep is the per-path fault boundary: it runs one engine step and
@@ -203,20 +184,11 @@ func (e *Engine) safeStep(st *State) (children []*State, err error) {
 		}
 	}()
 	e.inject.Fire(faultinject.SiteSymStep)
-	// Profiling (Options.Profile): mark the stepped PC so solver queries
-	// and degradations issued underneath attribute to it, and sample the
-	// step's wall time into the per-PC series.
-	var pt0 time.Time
-	profSampled := false
-	if e.prof != nil {
-		e.prof.SetPC(st.PC)
-		if profSampled = e.prof.SampleStep(); profSampled {
-			pt0 = time.Now()
-		}
-	}
+	pc := st.PC
+	t0, sampled := e.rec.stepStart(pc)
 	children, err = e.step(st)
-	if profSampled {
-		e.prof.StepTime(st.PC, time.Since(pt0))
+	if sampled {
+		e.rec.stepDone(pc, t0)
 	}
 	if err != nil {
 		return nil, err
@@ -224,8 +196,7 @@ func (e *Engine) safeStep(st *State) (children []*State, err error) {
 	if e.Opts.MaxStateTerms > 0 && e.concEnv == nil {
 		for _, c := range children {
 			if !c.Done && c.termSize() > e.Opts.MaxStateTerms {
-				e.degrade(DegradeStateBudget)
-				e.prof.Kill(c.PC)
+				e.rec.overBudget(c)
 				c.Fault = fmt.Sprintf("state term budget exceeded (%d > %d)", c.termSize(), e.Opts.MaxStateTerms)
 				c.done(StatusKilled)
 			}
@@ -251,7 +222,7 @@ func (e *Engine) checkProtected(q []*expr.Expr) (res smt.Result, err error) {
 				Layer: layerOf(r, "solver"),
 				Msg:   fmt.Sprint(r),
 				Stack: stackTrace(),
-			})
+			}, nil)
 			res, err = smt.Unknown, nil
 		}
 	}()

@@ -29,8 +29,6 @@ import (
 
 	"repro/internal/decoder"
 	"repro/internal/expr"
-	"repro/internal/obs"
-	"repro/internal/profile"
 	"repro/internal/smt"
 )
 
@@ -103,18 +101,6 @@ func (t *visitTable) get(pc uint64) int64 {
 	return v
 }
 
-// distinct counts the executed instruction addresses.
-func (t *visitTable) distinct() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // frontier is the shared work queue of live states. pop blocks until work
 // arrives, every worker is idle (global termination), or the run is
 // stopped. The exploration strategy picks which state a pop returns; with
@@ -130,34 +116,23 @@ type frontier struct {
 	strategy Strategy
 	rng      *rand.Rand
 	vt       *visitTable
-	maxLen   int
 	maxLive  int // MaxStates budget; pushes beyond it are killed
-	killed   int64
 
-	// Telemetry (nil-safe): queue depth gauge, kill counter, tracer and
-	// profiler. The profiler is the run-level aggregate (not a worker
-	// shard) because pushes race across workers; Profiler.Kill locks.
-	depth     *obs.Gauge
-	depthMax  *obs.Gauge
-	killedCtr *obs.Counter
-	tr        *obs.Tracer
-	prof      *profile.Profiler
-	prog      *Progress
+	// rec records the queue depth and the states the frontier kills,
+	// into the coordinating engine's block and profile shard (written
+	// only under mu) on the trace lane -1.
+	rec recorder
 }
 
-func newFrontier(workers int, o Options, vt *visitTable, m engineMetrics, tr *obs.Tracer, prof *profile.Profiler) *frontier {
+func newFrontier(workers int, o Options, vt *visitTable, rec recorder) *frontier {
+	rec.worker = -1
 	f := &frontier{
-		workers:   workers,
-		strategy:  o.Strategy,
-		rng:       rand.New(rand.NewSource(o.Seed + 1)),
-		vt:        vt,
-		maxLive:   o.MaxStates,
-		depth:     m.frontierDepth,
-		depthMax:  m.liveMax,
-		killedCtr: m.statesKilled,
-		tr:        tr,
-		prof:      prof,
-		prog:      o.Progress,
+		workers:  workers,
+		strategy: o.Strategy,
+		rng:      rand.New(rand.NewSource(o.Seed + 1)),
+		vt:       vt,
+		maxLive:  o.MaxStates,
+		rec:      rec,
 	}
 	f.cond = sync.NewCond(&f.mu)
 	return f
@@ -169,27 +144,17 @@ func (f *frontier) push(sts ...*State) {
 	f.mu.Lock()
 	for _, st := range sts {
 		if f.closed || len(f.items) >= f.maxLive {
-			f.killed++
-			f.killedCtr.Inc()
-			f.prof.Kill(st.PC)
-			if f.tr != nil {
-				reason := "max-states"
-				if f.closed {
-					reason = "run-stopped"
-				}
-				f.tr.Event("kill", -1, st.ID, st.PC, reason)
+			reason := "max-states"
+			if f.closed {
+				reason = "run-stopped"
 			}
+			f.rec.kill(st, reason)
 			continue
 		}
 		f.items = append(f.items, st)
 		f.cond.Signal()
 	}
-	if len(f.items) > f.maxLen {
-		f.maxLen = len(f.items)
-	}
-	f.depth.Set(int64(len(f.items)))
-	f.depthMax.Max(int64(f.maxLen))
-	f.prog.setFrontier(int64(len(f.items)))
+	f.rec.frontier(len(f.items))
 	f.mu.Unlock()
 }
 
@@ -257,8 +222,7 @@ func (f *frontier) take(home *expr.Builder) *State {
 	}
 	st := f.items[idx]
 	f.items = append(f.items[:idx], f.items[idx+1:]...)
-	f.depth.Set(int64(len(f.items)))
-	f.prog.setFrontier(int64(len(f.items)))
+	f.rec.frontier(len(f.items))
 	return st
 }
 
@@ -267,18 +231,9 @@ func (f *frontier) close() {
 	f.mu.Lock()
 	if !f.closed {
 		f.closed = true
-		f.killed += int64(len(f.items))
-		f.killedCtr.Add(int64(len(f.items)))
-		for _, st := range f.items {
-			f.prof.Kill(st.PC)
-		}
-		if f.tr != nil && len(f.items) > 0 {
-			f.tr.Event("kill", -1, -1, 0,
-				fmt.Sprintf("run-stopped (%d queued states)", len(f.items)))
-		}
+		f.rec.killAll(f.items, "run-stopped", "queued")
 		f.items = nil
-		f.depth.Set(0)
-		f.prog.setFrontier(0)
+		f.rec.frontier(0)
 		f.cond.Broadcast()
 	}
 	f.mu.Unlock()
@@ -347,39 +302,32 @@ func (e *Engine) workerEngine(i int, vt *visitTable, pr *parRun) *Engine {
 		shVisits:   vt,
 		par:        pr,
 		workerID:   i,
-		m:          e.m,
-		tr:         e.tr,
-		cov:        e.cov,
+		rec:        e.rec,
+		series:     e.series,
 		inject:     e.inject,
 		profiler:   e.profiler,
-		prof:       e.profiler.NewShard(),
-		progress:   e.progress,
 	}
+	w.rec.blk = new(block)
+	w.rec.prof = e.profiler.NewShard()
+	w.rec.worker = i
 	w.Solver.MaxConflicts = e.Opts.MaxSolverConflicts
 	w.Solver.QueryDeadline = e.Opts.SolverDeadline
 	w.Solver.Cache = e.cache
 	w.Solver.Obs = e.Solver.Obs
 	w.Solver.Inject = e.inject
-	switch {
-	case w.prof != nil && w.progress != nil:
-		w.Solver.Prof = progressProf{shard: w.prof, prog: w.progress}
-	case w.prof != nil:
-		w.Solver.Prof = w.prof
-	case w.progress != nil:
-		w.Solver.Prof = progressProf{prog: w.progress}
-	}
+	w.armQueryHook()
 	return w
 }
 
 // adopt re-homes a state onto this worker's builder by transferring every
-// live term. The state is exclusively owned by the caller (it was just
-// popped), so in-place mutation is safe; reading the source builder's
-// nodes is safe because expression nodes are immutable.
-func (e *Engine) adopt(st *State) {
+// live term, and reports whether it had to (the state was stolen from
+// another worker). The state is exclusively owned by the caller (it was
+// just popped), so in-place mutation is safe; reading the source
+// builder's nodes is safe because expression nodes are immutable.
+func (e *Engine) adopt(st *State) bool {
 	if st.home == e.B {
-		return
+		return false
 	}
-	e.steals++
 	memo := make(map[*expr.Expr]*expr.Expr)
 	for i, r := range st.regs {
 		st.regs[i] = expr.Transfer(e.B, r, memo)
@@ -394,6 +342,7 @@ func (e *Engine) adopt(st *State) {
 		st.Output[i] = expr.Transfer(e.B, o, memo)
 	}
 	st.home = e.B
+	return true
 }
 
 // workerDied removes a dead worker from the frontier's accounting so
@@ -421,18 +370,13 @@ func (e *Engine) work(pr *parRun) {
 			return
 		}
 		t0 := time.Now()
-		burst := st.ID
-		e.adopt(st)
+		burst, pc := st.ID, st.PC
+		stolen := e.adopt(st)
 		cur := st
 		for cur != nil {
 			if pr.stopNow() {
 				pr.front.close()
-				e.report.Stats.StatesKilled++
-				e.m.statesKilled.Inc()
-				e.prof.Kill(cur.PC)
-				if e.tr != nil {
-					e.tr.Event("kill", e.workerID, cur.ID, cur.PC, "global-budget")
-				}
+				e.rec.kill(cur, "global-budget")
 				break
 			}
 			children, err := e.safeStep(cur)
@@ -453,10 +397,7 @@ func (e *Engine) work(pr *parRun) {
 				}
 			}
 		}
-		e.busy += time.Since(t0)
-		if e.tr != nil {
-			e.tr.Span("exec", e.workerID, burst, st.PC, t0, "")
-		}
+		e.rec.burst(burst, pc, t0, stolen)
 	}
 }
 
@@ -470,7 +411,6 @@ func (e *Engine) runParallel() (*Report, error) {
 	nw := e.Opts.Workers
 	vt := newVisitTable()
 	pr := &parRun{opts: e.Opts}
-	pr.front = newFrontier(nw, e.Opts, vt, e.m, e.tr, e.profiler)
 	if e.Opts.TimeBudget > 0 {
 		pr.deadline = t0.Add(e.Opts.TimeBudget)
 	}
@@ -479,6 +419,9 @@ func (e *Engine) runParallel() (*Report, error) {
 	for i := range workers {
 		workers[i] = e.workerEngine(i, vt, pr)
 	}
+	blks := e.begin(workers)
+	defer e.finishRun(blks)
+	pr.front = newFrontier(nw, e.Opts, vt, e.rec)
 	pr.front.push(workers[0].initialState())
 
 	var wg sync.WaitGroup
@@ -497,7 +440,7 @@ func (e *Engine) runParallel() (*Report, error) {
 						Layer: layerOf(r, "sym"),
 						Msg:   fmt.Sprint(r),
 						Stack: stackTrace(),
-					})
+					}, nil)
 				}
 			}()
 			w.work(pr)
@@ -508,9 +451,8 @@ func (e *Engine) runParallel() (*Report, error) {
 		return nil, pr.err
 	}
 
-	e.mergeWorkerReports(workers, vt, pr)
+	e.mergeWorkerReports(workers, blks)
 	e.report.Stats.WallTime = time.Since(t0)
-	e.snapshotCompileStats()
 	return &e.report, nil
 }
 
@@ -518,43 +460,26 @@ func (e *Engine) runParallel() (*Report, error) {
 // canonical order and re-homes the surviving terms onto the coordinator's
 // builder, so post-Run uses of e.B and e.Solver against the report (e.g.
 // re-checking a path condition) keep working.
-func (e *Engine) mergeWorkerReports(workers []*Engine, vt *visitTable, pr *parRun) {
+func (e *Engine) mergeWorkerReports(workers []*Engine, blks []*block) {
 	s := &e.report.Stats
+	*s = fold(blks).stats()
 	var paths []PathResult
 	var bugs []Bug
 	for _, w := range workers {
-		ws := w.report.Stats
-		s.Instructions += ws.Instructions
-		s.Forks += ws.Forks
-		s.Infeasible += ws.Infeasible
-		s.PathsDone += ws.PathsDone
-		s.StatesKilled += ws.StatesKilled
-		s.DecodeCalls += ws.DecodeCalls
-		s.Merges += ws.Merges
-		if ws.MaxDepth > s.MaxDepth {
-			s.MaxDepth = ws.MaxDepth
-		}
 		s.Solver.Add(w.Solver.Stats)
-		s.PathFaults += ws.PathFaults
-		s.Degraded.Add(ws.Degraded)
 		e.report.Faults = append(e.report.Faults, w.report.Faults...)
 		s.WorkerStats = append(s.WorkerStats, WorkerStat{
 			ID:     w.workerID,
-			Steps:  ws.Instructions,
-			Paths:  ws.PathsDone,
-			Steals: w.steals,
-			Busy:   w.busy,
+			Steps:  w.rec.blk.get(cInstructions),
+			Paths:  int(w.rec.blk.get(cPaths)),
+			Steals: w.rec.blk.get(cSteals),
+			Busy:   time.Duration(w.rec.blk.get(cBusyNS)),
 			Solver: w.Solver.Stats,
 		})
 		paths = append(paths, w.report.Paths...)
 		bugs = append(bugs, w.report.Bugs...)
-		e.profiler.Fold(w.prof)
+		e.profiler.Fold(w.rec.prof)
 	}
-	pr.front.mu.Lock()
-	s.StatesKilled += int(pr.front.killed)
-	s.MaxLiveSet = pr.front.maxLen
-	pr.front.mu.Unlock()
-	s.Coverage = vt.distinct()
 
 	// Canonical path order: the signature identifies the branch decisions
 	// of the path independent of worker and schedule; the remaining keys

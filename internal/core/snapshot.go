@@ -213,15 +213,7 @@ func (e *Engine) snapshot(live []*State, elapsed time.Duration) *Snapshot {
 		s.Frontier = append(s.Frontier, ss)
 	}
 
-	// Stats mid-run: the deferred end-of-run fills (solver, coverage,
-	// compiled counters, wall time) have not happened yet — take them
-	// from their live sources.
-	e.snapshotCompileStats()
-	st := e.report.Stats
-	st.Solver = e.Solver.Stats
-	st.Coverage = len(e.visits)
-	st.WallTime = e.resumedWall + elapsed
-	s.Stats = st
+	s.Stats = e.stats(elapsed)
 
 	s.Exprs = expr.Serialize(roots)
 	return s
@@ -263,7 +255,6 @@ func (e *Engine) restore(s *Snapshot) ([]*State, error) {
 	e.report = Report{
 		Bugs:   append([]Bug(nil), s.Bugs...),
 		Faults: append([]PathFault(nil), s.Faults...),
-		Stats:  s.Stats,
 	}
 	for _, p := range s.Paths {
 		cond, err := gets(p.Cond)
@@ -352,19 +343,7 @@ func (e *Engine) restore(s *Snapshot) ([]*State, error) {
 			home:       e.B,
 		})
 	}
-	// Seed the live-progress counters so mid-run observers see
-	// run-cumulative values rather than post-crash deltas.
-	e.progress.restore(ProgressSnapshot{
-		Instructions:  s.Stats.Instructions,
-		Paths:         int64(s.Stats.PathsDone),
-		Forks:         s.Stats.Forks,
-		Frontier:      int64(len(live)),
-		Covered:       int64(len(e.visits)),
-		Degraded:      s.Stats.Degraded.Total(),
-		SolverNS:      int64(s.Stats.Solver.SolveTime),
-		SolverQueries: s.Stats.Solver.Queries,
-		CacheHits:     s.Stats.Solver.CacheHits,
-	})
+	e.rec.blk.seed(s.Stats, s.Faults, len(live))
 	return live, nil
 }
 

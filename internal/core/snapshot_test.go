@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"repro/arch"
@@ -206,4 +209,49 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := core.NewEngine(a, p, popts).Run(); err == nil {
 		t.Error("parallel resume accepted")
 	}
+}
+
+// FuzzUnmarshalSnapshot: checkpoints are read back from disk, so
+// UnmarshalSnapshot must never panic on a damaged or hostile file, and
+// a file that claims hostile path, root or length counts must not make
+// it allocate more than a small multiple of its size. The CRC is
+// recomputed over each input so mutations reach the decoder behind it.
+func FuzzUnmarshalSnapshot(f *testing.F) {
+	var snaps []*core.Snapshot
+	opts := resumeOpts()
+	opts.CheckpointEvery = -1
+	opts.Checkpoint = func(s *core.Snapshot) { snaps = append(snaps, s) }
+	e := core.NewEngine(arch.MustLoad("tiny32"), build(f, "tiny32", resumeSrc), opts)
+	if _, err := e.Run(); err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range []*core.Snapshot{snaps[0], snaps[len(snaps)/4]} {
+		blob, err := s.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		// Hostile path count: 2^32-1 records claimed after the metadata.
+		h := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(h[16+binary.LittleEndian.Uint32(h[12:]):], 1<<32-1)
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 12 {
+			data = append([]byte(nil), data...)
+			binary.LittleEndian.PutUint32(data[8:], crc32.ChecksumIEEE(data[12:]))
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s, err := core.UnmarshalSnapshot(data)
+		runtime.ReadMemStats(&m1)
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("UnmarshalSnapshot of %d bytes allocated %d bytes", len(data), alloc)
+		}
+		if err == nil {
+			if _, err := s.Marshal(); err != nil {
+				t.Fatalf("decoded snapshot does not marshal: %v", err)
+			}
+		}
+	})
 }

@@ -1,15 +1,11 @@
-// Coverage experiments: the semantic-coverage matrix every ADL reaches
-// under the standard difftest smoke budget, and the cost of leaving the
-// internal/cover collector switched on in the hot path
-// (docs/coverage.md).
+// Coverage experiment: the semantic-coverage matrix every ADL reaches
+// under the standard difftest smoke budget (docs/coverage.md).
 package harness
 
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/difftest"
 )
@@ -61,89 +57,4 @@ func (m CoverageMatrix) Print(w io.Writer) {
 	fmt.Fprintf(w, "Semantic coverage after the smoke budget (%d coverage-guided rounds, seed %d, %d divergences)\n",
 		m.Rounds, m.Seed, m.Divergences)
 	m.Collector.WriteText(w)
-}
-
-// CoverOverheadRow is one workload measured with the coverage collector
-// off and on.
-type CoverOverheadRow struct {
-	Workload string
-	Workers  int
-	Paths    int
-	WallOff  time.Duration // best rep with Options.Cover == nil
-	WallOn   time.Duration // best rep with Options.Cover == cover.New()
-	Overhead float64       // from the summed interleaved reps, not the bests
-}
-
-// CoverOverhead is the coverage-on vs coverage-off experiment.
-type CoverOverhead struct {
-	Rows []CoverOverheadRow
-}
-
-// RunCoverOverhead reruns the parallel-scaling workloads with the
-// coverage collector detached and attached, using the same interleaved
-// methodology as RunObsOverhead so host noise hits both sides equally.
-// The collector is a few atomic adds per instruction, so the acceptance
-// bar is the same <=3% as the metrics registry (see EXPERIMENTS.md).
-func RunCoverOverhead(workerCounts []int) CoverOverhead {
-	const reps = 9
-	var t CoverOverhead
-	for _, wl := range parallelWorkloads() {
-		for _, nw := range workerCounts {
-			a, p := mustBuild(wl.arch, wl.src)
-			run := func(coll *cover.Collector) (time.Duration, int) {
-				e := core.NewEngine(a, p, core.Options{
-					InputBytes: 10,
-					MaxPaths:   1 << 11,
-					Workers:    nw,
-					Cover:      coll,
-				})
-				r, err := e.Run()
-				if err != nil {
-					panic(fmt.Sprintf("harness: cover overhead: %v", err))
-				}
-				return r.Stats.WallTime, len(r.Paths)
-			}
-			// Interleave the off/on repetitions and compare summed times;
-			// one unmeasured warmup run absorbs cold caches (see
-			// RunObsOverhead for the rationale).
-			run(nil)
-			var sumOff, sumOn, wallOff, wallOn time.Duration
-			paths := 0
-			for rep := 0; rep < reps; rep++ {
-				off, n := run(nil)
-				on, _ := run(cover.New())
-				sumOff += off
-				sumOn += on
-				if wallOff == 0 || off < wallOff {
-					wallOff = off
-				}
-				if wallOn == 0 || on < wallOn {
-					wallOn = on
-				}
-				paths = n
-			}
-			row := CoverOverheadRow{
-				Workload: wl.name, Workers: nw, Paths: paths,
-				WallOff: wallOff, WallOn: wallOn,
-			}
-			if sumOff > 0 {
-				row.Overhead = float64(sumOn-sumOff) / float64(sumOff)
-			}
-			t.Rows = append(t.Rows, row)
-		}
-	}
-	return t
-}
-
-// Print writes the experiment in the repo's table format.
-func (t CoverOverhead) Print(w io.Writer) {
-	fmt.Fprintf(w, "Coverage overhead: collector on vs off (fork-heavy exploration)\n")
-	fmt.Fprintf(w, "%-16s %8s %6s %12s %12s %9s\n",
-		"workload", "workers", "paths", "wall (off)", "wall (on)", "overhead")
-	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-16s %8d %6d %12v %12v %+8.1f%%\n",
-			r.Workload, r.Workers, r.Paths,
-			r.WallOff.Round(time.Millisecond), r.WallOn.Round(time.Millisecond),
-			100*r.Overhead)
-	}
 }

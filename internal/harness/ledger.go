@@ -1,9 +1,6 @@
-// Run-ledger experiments (docs/observability.md): populate a ledger
-// with the parallel-scaling workloads and export the per-config
-// trajectory as BENCH_ledger.json, and measure what arming the live
-// progress instrument plus the ledger append costs on the fork-heavy
-// workloads. The acceptance bar matches the other telemetry
-// experiments: <=3% overhead with everything armed.
+// Run-ledger experiment (docs/observability.md): populate a ledger with
+// the parallel-scaling workloads and export the per-config trajectory
+// as BENCH_ledger.json.
 package harness
 
 import (
@@ -120,143 +117,5 @@ func (t LedgerTrajectory) Print(w io.Writer) {
 			time.Duration(s.MedianWallNS).Round(time.Millisecond),
 			time.Duration(s.MedianSolverNS).Round(time.Millisecond),
 			cov, gate)
-	}
-}
-
-// ProgressOverheadRow is one workload measured with live progress (and
-// the ledger append) off and armed.
-type ProgressOverheadRow struct {
-	Workload string
-	Workers  int
-	Paths    int
-	WallOff  time.Duration // Options.Progress == nil
-	WallOn   time.Duration // progress armed + 250ms sampler + ledger append
-	Overhead float64       // median-vs-median
-	Samples  int           // sampler snapshots taken during the armed reps
-}
-
-// ProgressOverhead is the armed-vs-off experiment for the live-progress
-// instrument.
-type ProgressOverhead struct {
-	Rows []ProgressOverheadRow
-}
-
-// RunProgressOverhead mirrors RunProfileOverhead for the live-progress
-// counters: the armed side runs with a Progress block attached, a
-// background sampler reading a snapshot every 250ms (the symexd SSE
-// default), and one ledger append per run into a scratch dir — the full
-// per-run cost the daemon pays. Interleaved repetitions, median wall
-// times.
-func RunProgressOverhead(workerCounts []int) ProgressOverhead {
-	const reps = 15
-	workloads := []struct{ name, arch, src string }{
-		{"ladder12/tiny32", "tiny32", BranchLadder("tiny32", 12)},
-		{"ladder12/rv32i", "rv32i", BranchLadder("rv32i", 12)},
-	}
-	scratch, err := os.MkdirTemp("", "ledger-overhead-")
-	if err != nil {
-		panic(fmt.Sprintf("harness: progress overhead: %v", err))
-	}
-	defer os.RemoveAll(scratch)
-	led, err := ledger.Open(scratch)
-	if err != nil {
-		panic(fmt.Sprintf("harness: progress overhead: %v", err))
-	}
-	defer led.Close()
-
-	var t ProgressOverhead
-	for _, wl := range workloads {
-		for _, nw := range workerCounts {
-			a, p := mustBuild(wl.arch, wl.src)
-			run := func(prog *core.Progress) (time.Duration, int, int) {
-				e := core.NewEngine(a, p, core.Options{
-					InputBytes: 12,
-					MaxPaths:   1 << 13,
-					Workers:    nw,
-					Progress:   prog,
-				})
-				samples := 0
-				var stop chan struct{}
-				var done chan struct{}
-				if prog != nil {
-					stop, done = make(chan struct{}), make(chan struct{})
-					go func() {
-						defer close(done)
-						tk := time.NewTicker(250 * time.Millisecond)
-						defer tk.Stop()
-						for {
-							select {
-							case <-tk.C:
-								_ = prog.Snapshot()
-								samples++
-							case <-stop:
-								return
-							}
-						}
-					}()
-				}
-				r, err := e.Run()
-				if prog != nil {
-					close(stop)
-					<-done
-					rec := ledger.Build(ledger.BuildInput{
-						Source: "experiments", Label: wl.name,
-						Digest: ledger.Digest(wl.arch, []byte(wl.src), fmt.Sprintf("workers=%d", nw)),
-						ISA:    wl.arch, Mode: "explore", Workers: nw, Stats: r.Stats,
-						Now: time.Now(),
-					})
-					if aerr := led.Append(rec); aerr != nil {
-						panic(fmt.Sprintf("harness: progress overhead: %v", aerr))
-					}
-				}
-				if err != nil {
-					panic(fmt.Sprintf("harness: progress overhead: %v", err))
-				}
-				return r.Stats.WallTime, len(r.Paths), samples
-			}
-			run(nil) // warmup: cold caches hit the unmeasured run
-			var offs, ons []time.Duration
-			paths, samples := 0, 0
-			for rep := 0; rep < reps; rep++ {
-				var off, on time.Duration
-				var n, sm int
-				if rep%2 == 0 {
-					off, n, _ = run(nil)
-					on, _, sm = run(&core.Progress{})
-				} else {
-					on, _, sm = run(&core.Progress{})
-					off, n, _ = run(nil)
-				}
-				offs = append(offs, off)
-				ons = append(ons, on)
-				paths = n
-				samples += sm
-			}
-			sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-			sort.Slice(ons, func(i, j int) bool { return ons[i] < ons[j] })
-			medOff, medOn := offs[reps/2], ons[reps/2]
-			row := ProgressOverheadRow{
-				Workload: wl.name, Workers: nw, Paths: paths,
-				WallOff: medOff, WallOn: medOn, Samples: samples,
-			}
-			if medOff > 0 {
-				row.Overhead = float64(medOn-medOff) / float64(medOff)
-			}
-			t.Rows = append(t.Rows, row)
-		}
-	}
-	return t
-}
-
-// Print writes the experiment in the repo's table format.
-func (t ProgressOverhead) Print(w io.Writer) {
-	fmt.Fprintf(w, "Live-progress + ledger overhead: armed vs off (fork-heavy exploration)\n")
-	fmt.Fprintf(w, "%-16s %8s %6s %8s %12s %12s %9s\n",
-		"workload", "workers", "paths", "samples", "wall (off)", "wall (on)", "overhead")
-	for _, r := range t.Rows {
-		fmt.Fprintf(w, "%-16s %8d %6d %8d %12v %12v %+8.1f%%\n",
-			r.Workload, r.Workers, r.Paths, r.Samples,
-			r.WallOff.Round(time.Millisecond), r.WallOn.Round(time.Millisecond),
-			100*r.Overhead)
 	}
 }

@@ -113,8 +113,13 @@ func (o *Obs) ProfileSource() ProfileSource {
 	return o.Profile
 }
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Int64 }
+// Counter is a monotonically increasing atomic counter. A counter may
+// also carry a read-time source (Registry.DeriveCounter): its value is
+// then its own count plus what the source reports.
+type Counter struct {
+	v   atomic.Int64
+	src atomic.Pointer[func() int64]
+}
 
 // Inc adds one. No-op on a nil receiver.
 func (c *Counter) Inc() {
@@ -135,11 +140,23 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v.Load() + read(&c.src)
 }
 
-// Gauge is an instantaneous atomic value.
-type Gauge struct{ v atomic.Int64 }
+// Gauge is an instantaneous atomic value, optionally offset by a
+// read-time source (Registry.DeriveGauge).
+type Gauge struct {
+	v   atomic.Int64
+	src atomic.Pointer[func() int64]
+}
+
+// read evaluates a read-time source, 0 when none is set.
+func read(src *atomic.Pointer[func() int64]) int64 {
+	if f := src.Load(); f != nil {
+		return (*f)()
+	}
+	return 0
+}
 
 // Set stores n. No-op on a nil receiver.
 func (g *Gauge) Set(n int64) {
@@ -155,26 +172,12 @@ func (g *Gauge) Add(n int64) {
 	}
 }
 
-// Max raises the gauge to n if n exceeds the current value (a running
-// high-water mark). No-op on a nil receiver.
-func (g *Gauge) Max(n int64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.v.Load()
-		if n <= old || g.v.CompareAndSwap(old, n) {
-			return
-		}
-	}
-}
-
 // Value reads the gauge (0 on a nil receiver).
 func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return g.v.Load() + read(&g.src)
 }
 
 // TimeBuckets is the default latency histogram layout: roughly
@@ -298,11 +301,51 @@ type metric struct {
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
+
+	sharedMu sync.Mutex
+	shared   map[string]any
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric)}
+	return &Registry{metrics: make(map[string]*metric), shared: make(map[string]any)}
+}
+
+// Shared returns the value stored under key, creating it with mk on
+// first use. A package that derives series from counts it keeps itself
+// stores its per-registry state here; mk may register instruments.
+// Returns nil on a nil registry.
+func (r *Registry) Shared(key string, mk func() any) any {
+	if r == nil {
+		return nil
+	}
+	r.sharedMu.Lock()
+	defer r.sharedMu.Unlock()
+	v, ok := r.shared[key]
+	if !ok {
+		v = mk()
+		r.shared[key] = v
+	}
+	return v
+}
+
+// DeriveCounter gives the counter registered under name a read-time
+// source: from then on its value is its own count plus f(). The first
+// source registered under a name wins. It exposes counts a package
+// keeps elsewhere without a second copy of them.
+func (r *Registry) DeriveCounter(name, help string, f func() int64) {
+	if r == nil {
+		return
+	}
+	r.Counter(name, help).src.CompareAndSwap(nil, &f)
+}
+
+// DeriveGauge is DeriveCounter for a gauge.
+func (r *Registry) DeriveGauge(name, help string, f func() int64) {
+	if r == nil {
+		return
+	}
+	r.Gauge(name, help).src.CompareAndSwap(nil, &f)
 }
 
 func (r *Registry) get(name, help string) (*metric, bool) {

@@ -16,7 +16,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	)
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "ops")
-	g := r.Gauge("test_high_water", "hw")
+	g := r.Gauge("test_level", "level")
 	h := r.Histogram("test_latency_seconds", "lat", []float64{0.5, 1.5, 2.5})
 
 	var wg sync.WaitGroup
@@ -26,7 +26,7 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				c.Inc()
-				g.Max(int64(id*perG + j))
+				g.Add(2)
 				// Values 0,1,2,3 cycle through every bucket including
 				// the +Inf overflow; each is integer-exact in float64,
 				// so the CAS-accumulated sum must come out exact too.
@@ -39,8 +39,8 @@ func TestConcurrentInstruments(t *testing.T) {
 	if got, want := c.Value(), int64(goroutines*perG); got != want {
 		t.Errorf("counter: got %d, want %d", got, want)
 	}
-	if got, want := g.Value(), int64((goroutines-1)*perG+perG-1); got != want {
-		t.Errorf("gauge high-water: got %d, want %d", got, want)
+	if got, want := g.Value(), int64(2*goroutines*perG); got != want {
+		t.Errorf("gauge: got %d, want %d", got, want)
 	}
 	if got, want := h.Count(), int64(goroutines*perG); got != want {
 		t.Errorf("histogram count: got %d, want %d", got, want)
@@ -99,7 +99,6 @@ func TestNilSafety(t *testing.T) {
 	c.Add(5)
 	g.Set(1)
 	g.Add(1)
-	g.Max(9)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments must read zero")

@@ -1,6 +1,8 @@
 package prog
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -108,4 +110,37 @@ func TestSymbolLookup(t *testing.T) {
 	if _, ok := p.Symbol("nope"); ok {
 		t.Error("missing symbol reported present")
 	}
+}
+
+// FuzzProgUnmarshal: RIMG images arrive over HTTP (symexd job
+// submissions), so Unmarshal must never panic, and an image that
+// claims hostile segment, symbol or string counts must not make it
+// allocate more than a small multiple of the input.
+func FuzzProgUnmarshal(f *testing.F) {
+	img := sample().Marshal()
+	f.Add(img)
+	// Hostile counts claimed by truncated images: 2^20 and 2^32
+	// segments, a segment of 2^20 and 2^32 bytes, a 1 MiB arch string.
+	for _, off := range []int{4 + 4 + len("tiny32") + 8, 4 + 4 + len("tiny32") + 8 + 8 + 8} {
+		for _, n := range []uint64{1 << 20, 1 << 32} {
+			h := append([]byte(nil), img[:off+8]...)
+			binary.LittleEndian.PutUint64(h[off:], n)
+			f.Add(h)
+		}
+	}
+	f.Add(binary.LittleEndian.AppendUint32([]byte(magic), 1<<20))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		p, err := Unmarshal(data)
+		runtime.ReadMemStats(&m1)
+		if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("Unmarshal of %d bytes allocated %d bytes", len(data), alloc)
+		}
+		if err == nil {
+			if _, err := Unmarshal(p.Marshal()); err != nil {
+				t.Fatalf("re-marshaled image does not parse: %v", err)
+			}
+		}
+	})
 }

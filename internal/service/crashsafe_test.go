@@ -335,6 +335,28 @@ func TestJournalTornTailAndCorruptCheckpoint(t *testing.T) {
 	assertSameEvents(t, canonicalEvents(t, fresh), canonicalEvents(t, recovered))
 }
 
+// TestJournalFinishedBeforeSubmitted: Submit appends the submitted
+// record outside the admission lock, so a fast job's finished record
+// can land first. Replay must keep such a job finished, not rerun it.
+func TestJournalFinishedBeforeSubmitted(t *testing.T) {
+	spec := crashSpec(buildImage(t, "tiny32", crashSrc))
+	dir := t.TempDir()
+	seedJournal(t, dir, []map[string]any{
+		{"type": "finished", "id": "j000001", "state": StateDone},
+		submittedRec("j000001", spec),
+		submittedRec("j000002", spec),
+	})
+	srv, hs, _ := startServer(t, Config{Obs: obs.New(), StateDir: dir})
+	defer srv.Close()
+	defer hs.Close()
+	if _, recovered, _ := srv.JournalStats(); recovered != 1 {
+		t.Errorf("recovered %d jobs, want 1 (j000002 only)", recovered)
+	}
+	if _, ok := srv.Status("j000001"); ok {
+		t.Error("finished job j000001 was rebuilt from its late submitted record")
+	}
+}
+
 // stallInjector returns an injector whose SiteStall consult fires on
 // given attempts: probe seeds until the firing pattern over the first
 // few consults matches, then rebuild fresh with that seed.

@@ -67,10 +67,11 @@ type Job struct {
 	cancelCh  chan struct{} // closed on cancel/kill; wired to opts.Cancel
 	cancelReq atomic.Bool
 
-	doneCh chan struct{} // closed when terminal
+	doneCh chan struct{} // closed when the terminal state is published
 
 	mu        sync.Mutex
-	state     string // queued|running|done|failed|canceled
+	state     string  // queued|running|done|failed|canceled
+	end       *jobEnd // terminal outcome, recorded but not yet published
 	err       *JobError
 	stats     *JobStats
 	coreStats *core.Stats // full engine stats for the ledger record
@@ -118,10 +119,11 @@ func (j *Job) kill() {
 }
 
 // resetForRetry rewinds a failed job to queued for another attempt: a
-// fresh cancel channel (the watchdog may have closed the old one),
-// cleared stall/error state and zeroed live-progress counters. The
-// events of the failed attempt are kept — the stream shows the retry
-// trail. Caller is the owning runner.
+// fresh cancel channel (the watchdog may have closed the old one) and
+// cleared stall/error state. The live-progress view restarts from zero
+// when the retry's engine run attaches to it. The events of the failed
+// attempt are kept — the stream shows the retry trail. Caller is the
+// owning runner.
 func (j *Job) resetForRetry() {
 	j.mu.Lock()
 	j.cancelCh = make(chan struct{})
@@ -130,27 +132,16 @@ func (j *Job) resetForRetry() {
 	j.err = nil
 	j.mu.Unlock()
 	j.stalled.Store(false)
-	j.progress.Reset()
 }
 
 // canceledEarly reports whether the job was canceled while still
-// queued; if so it transitions straight to canceled.
+// queued; if so its outcome is canceled.
 func (j *Job) canceledEarly() bool {
 	if !j.cancelReq.Load() {
 		return false
 	}
-	j.mu.Lock()
-	terminal := j.state != StateQueued
-	if !terminal {
-		j.state = StateCanceled
-		j.err = &JobError{Code: CodeCanceled, Msg: "canceled before running"}
-		j.wakeWaitersLocked()
-	}
-	j.mu.Unlock()
-	if !terminal {
-		close(j.doneCh)
-	}
-	return !terminal
+	j.finish(StateCanceled, &JobError{Code: CodeCanceled, Msg: "canceled before running"}, nil)
+	return true
 }
 
 func (j *Job) setRunning() {
@@ -167,17 +158,40 @@ func (j *Job) wakeWaitersLocked() {
 	j.wake = make(chan struct{})
 }
 
-// finish transitions to a terminal state exactly once and wakes every
-// results waiter.
+// jobEnd is a job's terminal outcome.
+type jobEnd struct {
+	state string
+	err   *JobError
+	stats *JobStats
+}
+
+// finish records the job's terminal outcome; the first one wins. The
+// outcome stays invisible to clients until finishJob has committed it
+// and calls publish.
 func (j *Job) finish(state string, err *JobError, stats *JobStats) {
 	j.mu.Lock()
-	if j.state == StateDone || j.state == StateFailed || j.state == StateCanceled {
-		j.mu.Unlock()
-		return
+	if j.end == nil {
+		j.end = &jobEnd{state: state, err: err, stats: stats}
 	}
-	j.state = state
-	j.err = err
-	j.stats = stats
+	j.mu.Unlock()
+}
+
+// outcome reads the recorded terminal outcome.
+func (j *Job) outcome() jobEnd {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return *j.end
+}
+
+// publish makes the recorded outcome visible: the status, the results
+// stream's done event (for a job that produced stats), and the release
+// of every waiter.
+func (j *Job) publish() {
+	j.mu.Lock()
+	j.state, j.err, j.stats = j.end.state, j.end.err, j.end.stats
+	if j.stats != nil {
+		j.events = append(j.events, Event{Type: "done", Done: j.stats})
+	}
 	j.wakeWaitersLocked()
 	j.mu.Unlock()
 	close(j.doneCh)
@@ -378,7 +392,6 @@ func (s *Server) runExplore(j *Job, e *core.Engine, t0 time.Time) {
 		j.emit(Event{Type: "fault", Fault: &FaultRecord{Layer: f.Layer, PC: f.PC, Msg: f.Msg}})
 	}
 	j.emit(Event{Type: "coverage", Coverage: &CoverageEvent{Covered: rep.Stats.Coverage}})
-	j.emit(Event{Type: "done", Done: stats})
 
 	if j.cancelReq.Load() {
 		j.finish(StateCanceled, &JobError{Code: CodeCanceled, Msg: "canceled while running"}, stats)
@@ -404,9 +417,8 @@ func (s *Server) runConcolic(j *Job, e *core.Engine, t0 time.Time) {
 	j.mu.Lock()
 	cs := rep.Stats
 	cs.Coverage = rep.Coverage
-	cs.PathsDone = len(rep.Paths) // the concolic loop doesn't count paths
 	if cs.WallTime == 0 {
-		cs.WallTime = time.Since(t0) // ... nor self-time
+		cs.WallTime = time.Since(t0) // the concolic loop doesn't time itself
 	}
 	j.coreStats = &cs
 	j.mu.Unlock()
@@ -424,7 +436,6 @@ func (s *Server) runConcolic(j *Job, e *core.Engine, t0 time.Time) {
 		j.emit(Event{Type: "fault", Fault: &FaultRecord{Layer: f.Layer, PC: f.PC, Msg: f.Msg}})
 	}
 	j.emit(Event{Type: "coverage", Coverage: &CoverageEvent{Covered: rep.Coverage}})
-	j.emit(Event{Type: "done", Done: stats})
 
 	if j.cancelReq.Load() {
 		j.finish(StateCanceled, &JobError{Code: CodeCanceled, Msg: "canceled while running"}, stats)

@@ -92,13 +92,16 @@ func (s *Server) openJournal() ([]*Job, error) {
 			"dir", s.cfg.StateDir)
 	}
 
-	// Replay: the last record wins per job; submitted records carry the
-	// spec needed to rebuild.
+	// Replay: the last record wins per job, except that a finished job
+	// stays finished — its submitted record, appended outside the
+	// admission lock, may follow it. IDs are never reused. Submitted
+	// records carry the spec needed to rebuild.
 	type pending struct {
 		spec     JobSpec
 		attempts int
 	}
 	open := map[string]*pending{}
+	finished := map[string]bool{}
 	maxSeq := 0
 	err = log.Load(func(payload []byte) error {
 		var rec journalRecord
@@ -111,7 +114,7 @@ func (s *Server) openJournal() ([]*Job, error) {
 		}
 		switch rec.Type {
 		case recSubmitted:
-			if rec.Spec != nil {
+			if rec.Spec != nil && !finished[rec.ID] {
 				// Attempt is zero on live admissions and carries the
 				// pre-crash retry count on compacted records.
 				open[rec.ID] = &pending{spec: *rec.Spec, attempts: rec.Attempt}
@@ -122,6 +125,7 @@ func (s *Server) openJournal() ([]*Job, error) {
 			}
 		case recFinished:
 			delete(open, rec.ID)
+			finished[rec.ID] = true
 		}
 		return nil
 	})
@@ -294,18 +298,15 @@ func (s *Server) journalAppend(rec journalRecord) {
 
 // journalFinished closes a job out in the journal and removes its
 // checkpoint — terminal jobs are never replayed.
-func (s *Server) journalFinished(j *Job) {
+func (s *Server) journalFinished(j *Job, end jobEnd) {
 	if s.journal == nil {
 		return
 	}
-	j.mu.Lock()
-	state := j.state
 	code := ""
-	if j.err != nil {
-		code = j.err.Code
+	if end.err != nil {
+		code = end.err.Code
 	}
-	j.mu.Unlock()
-	s.journalAppend(journalRecord{Type: recFinished, ID: j.id, State: state, Code: code})
+	s.journalAppend(journalRecord{Type: recFinished, ID: j.id, State: end.state, Code: code})
 	os.Remove(s.ckptPath(j.id))
 	os.Remove(s.ckptPath(j.id) + ".tmp")
 }

@@ -346,29 +346,34 @@ func (s *Server) Submit(spec JobSpec) (*JobStatus, *JobError) {
 		s.m.rejected(CodeDraining)
 		return nil, &JobError{Code: CodeDraining, Msg: "server is shutting down"}
 	}
-	// Enqueue under the lock: Close flips draining and closes the queue
-	// under the same lock, so no send can race the close.
-	select {
-	case s.queue <- j:
-	default:
+	// Every send to the queue happens under s.mu (Close flips draining
+	// and closes the queue under the same lock), so a free slot seen
+	// here is still free at the send below.
+	if len(s.queue) == cap(s.queue) {
 		s.mu.Unlock()
 		s.m.rejected(CodeQueueFull)
 		return nil, &JobError{Code: CodeQueueFull, Msg: fmt.Sprintf("queue full (%d jobs waiting)", s.cfg.QueueDepth)}
 	}
+	// The job is fully formed before any other goroutine can see it: a
+	// runner may start it the moment it is queued. The job ID is the
+	// correlation key across every observability surface: trace events
+	// (obs.Tracer.Scoped), the per-job exploration profile, the
+	// structured log, and the durable journal.
 	s.seq++
-	// The job ID is the correlation key across every observability
-	// surface: trace events (obs.Tracer.Scoped), the per-job exploration
-	// profile, the structured log, and the durable journal.
 	s.adoptJob(j, fmt.Sprintf("j%06d", s.seq), spec)
+	admitted := j.status() // the reply describes the admission, before any runner
 	s.jobs[j.id] = j
+	s.queue <- j
 	s.mu.Unlock()
 
+	// Appended outside s.mu (an fsync must not serialize admissions), so
+	// a fast job's finished record can precede it; replay handles that.
 	s.journalAppend(journalRecord{Type: recSubmitted, ID: j.id, Spec: &spec})
 	s.m.admitted.Inc()
 	s.m.queueDepth.Set(int64(len(s.queue)))
 	s.log.Info("job admitted", "job", j.id, "arch", j.p.Arch, "mode", j.mode,
 		"workers", j.opts.Workers, "queue_depth", len(s.queue))
-	return j.status(), nil
+	return admitted, nil
 }
 
 // buildJob validates a spec against the governor caps and prepares the
@@ -429,13 +434,12 @@ func (s *Server) buildJob(spec JobSpec) (*Job, *JobError) {
 // recordRun appends a completed job's ledger record. Best-effort: a
 // read-only ledger (lease lost to another process) or an append error
 // is logged, never fatal to the job.
-func (s *Server) recordRun(j *Job) {
+func (s *Server) recordRun(j *Job, stats *JobStats) {
 	if s.ledger == nil {
 		return
 	}
 	j.mu.Lock()
 	cs := j.coreStats
-	stats := j.stats
 	j.mu.Unlock()
 	if cs == nil || stats == nil {
 		return // failed/canceled before the engine produced a report
@@ -578,13 +582,19 @@ func (s *Server) Cancel(id string) (*JobStatus, bool) {
 	return j.status(), true
 }
 
-// finishJob records a terminal job for retention accounting, appends
-// its ledger record, and evicts the oldest terminal jobs past the cap.
+// finishJob commits a job's terminal outcome and only then publishes
+// it: the journal finished record, the completion metrics and the run
+// ledger record are written before Wait, the SSE done event and
+// ?wait=1 streams are released (docs/service.md). The profile fold, the
+// log line and the eviction of the oldest terminal jobs past the
+// retention cap follow.
 func (s *Server) finishJob(j *Job) {
-	s.journalFinished(j)
-	s.m.completed(j.statusString())
+	end := j.outcome()
+	s.journalFinished(j, end)
+	s.m.completed(end.state)
+	s.recordRun(j, end.stats)
+	j.publish()
 	s.aggProf.Absorb(j.prof)
-	s.recordRun(j)
 	s.logFinished(j)
 	s.mu.Lock()
 	s.doneIDs = append(s.doneIDs, j.id)

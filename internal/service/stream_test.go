@@ -45,6 +45,7 @@ func TestResultsStreamIncremental(t *testing.T) {
 		}
 		j.emit(Event{Type: "path", Path: &PathEvent{ID: 2}})
 		j.finish(StateDone, nil, &JobStats{Paths: 2})
+		s.finishJob(j) // commit, then publish: the runner's last step
 	}()
 
 	resp, err := hs.Client().Get(hs.URL + "/v1/jobs/j-slow/results?wait=1")
@@ -54,13 +55,18 @@ func TestResultsStreamIncremental(t *testing.T) {
 	defer resp.Body.Close()
 
 	var ids []int
+	done := false
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		var ev Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
 		}
-		if ev.Type != "path" || ev.Path == nil {
+		if ev.Type == "done" && !done && ev.Done != nil && ev.Done.Paths == 2 {
+			done = true // published with the terminal state, last
+			continue
+		}
+		if done || ev.Type != "path" || ev.Path == nil {
 			t.Fatalf("unexpected event %+v", ev)
 		}
 		ids = append(ids, ev.Path.ID)
@@ -73,6 +79,9 @@ func TestResultsStreamIncremental(t *testing.T) {
 	}
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Fatalf("streamed path IDs %v, want [1 2]", ids)
+	}
+	if !done {
+		t.Fatal("stream ended without the done event")
 	}
 }
 
@@ -114,6 +123,7 @@ func TestResultsStreamCanceledWhileQueued(t *testing.T) {
 	if !j.canceledEarly() {
 		t.Fatal("job did not cancel while queued")
 	}
+	s.finishJob(j)
 	select {
 	case err := <-done:
 		if err != nil {
