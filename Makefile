@@ -34,15 +34,16 @@ bench:
 	go test -bench=. -benchmem
 
 # Coverage-guided fuzz targets, a few seconds each (go test allows one
-# -fuzz pattern per invocation). Snapshot inputs are kilobytes long, so
-# minimizing each new one with the default budget would take the whole
-# smoke; 100 attempts per input keep the budget on fuzzing.
+# -fuzz pattern per invocation). Snapshot and ADL inputs are kilobytes
+# long, so minimizing each new one with the default budget would take
+# the whole smoke; 100 attempts per input keep the budget on fuzzing.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzExprCompile -fuzztime=5s ./internal/minic
 	go test -run='^$$' -fuzz=FuzzDifferentialTiny32 -fuzztime=5s ./internal/core
 	go test -run='^$$' -fuzz=FuzzExprWireRoundTrip -fuzztime=5s ./internal/expr
 	go test -run='^$$' -fuzz=FuzzProgUnmarshal -fuzztime=5s ./internal/prog
 	go test -run='^$$' -fuzz=FuzzUnmarshalSnapshot -fuzztime=5s -fuzzminimizetime=100x ./internal/core
+	go test -run='^$$' -fuzz=FuzzADLLoad -fuzztime=5s -fuzzminimizetime=100x ./internal/adl
 
 # Differential oracle (docs/difftest.md): CI smoke with a fixed seed,
 # and a longer soak for local use.

@@ -1,5 +1,7 @@
 // Command minicc compiles MiniC source (see internal/minic) to assembly
-// or directly to a program image for any supported target architecture.
+// or directly to a program image for any architecture in
+// minic.Targets(): every embedded ISA whose description yields a
+// backend.
 //
 // Usage:
 //
@@ -10,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/arch"
 	"repro/internal/asm"
@@ -17,12 +20,13 @@ import (
 )
 
 func main() {
-	archName := flag.String("arch", "tiny32", "target architecture")
+	archName := flag.String("arch", "tiny32", "target architecture, one of minic.Targets()")
 	emitAsm := flag.Bool("S", false, "emit assembly instead of an image")
 	out := flag.String("o", "", "output file (default a.s / a.rimg)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: minicc -arch <name> [-S] [-o out] <prog.c>")
+		fmt.Fprintln(os.Stderr, "targets:", strings.Join(minic.Targets(), " "))
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))

@@ -456,3 +456,35 @@ insn mv : A(op = 1) "mv %rd, %ra" { rd = ra; }
 		t.Error("g1 wrongly marked zero")
 	}
 }
+
+func TestStackTop(t *testing.T) {
+	a, err := Load("s.adl", header+`
+stack 0x7ff0
+insn a : A(op = 1) "a %rd" { rd = rd; }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.StackTop != 0x7ff0 {
+		t.Errorf("StackTop = %#x, want 0x7ff0", a.StackTop)
+	}
+}
+
+func TestErrStackTopOutOfRange(t *testing.T) {
+	expectErr(t, header+`
+stack 0x10000
+insn a : A(op = 1) "a %rd" { rd = rd; }
+`, "outside the 16-bit address space")
+	// The check sees the final width even when stack precedes bits.
+	expectErr(t, "arch e\nstack 0x10000\n"+strings.TrimPrefix(header, "\narch e\n")+`
+insn a : A(op = 1) "a %rd" { rd = rd; }
+`, "outside the 16-bit address space")
+}
+
+func TestErrRegisterFileTooLarge(t *testing.T) {
+	expectErr(t, `
+arch e
+bits 16
+reg r0 .. r99999999 : 16
+`, "more than 1024 registers")
+}

@@ -10,6 +10,7 @@ package adl
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Endian is a byte order.
@@ -40,6 +41,10 @@ type Arch struct {
 	SP       *Reg // the stack pointer, nil if none is declared
 
 	Space *Space // the single memory space
+
+	// StackTop is the initial stack pointer of generated code (the
+	// `stack` declaration), 0 when undeclared.
+	StackTop uint64
 
 	Formats []*Format
 	Insns   []*Insn
@@ -221,6 +226,24 @@ func (i *Insn) Operand(name string) *Operand {
 		}
 	}
 	return nil
+}
+
+// Render appends the instruction, printed through its assembly
+// template, to sb, with write supplying each operand's text. Operands
+// get a leading space except directly after an opening parenthesis, so
+// "lw %rd, %imm(%ra)" prints as "lw r1, 8(r2)".
+func (i *Insn) Render(sb *strings.Builder, write func(sb *strings.Builder, o *Operand)) {
+	sb.WriteString(i.Mnemonic)
+	for _, tok := range i.AsmToks {
+		if tok.Operand == nil {
+			sb.WriteString(tok.Lit)
+			continue
+		}
+		if s := sb.String(); s[len(s)-1] != '(' {
+			sb.WriteByte(' ')
+		}
+		write(sb, tok.Operand)
+	}
 }
 
 // PseudoTok is one token of a pseudo-instruction template: literal text

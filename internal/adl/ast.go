@@ -44,6 +44,12 @@ type astAlias struct {
 	line   int
 }
 
+// astStack declares the initial stack top of generated code.
+type astStack struct {
+	top  uint64
+	line int
+}
+
 // astHardwire marks a register as reading zero and discarding writes.
 type astHardwire struct {
 	name string
@@ -122,6 +128,7 @@ func (astEndian) declNode()   {}
 func (astReg) declNode()      {}
 func (astAlias) declNode()    {}
 func (astHardwire) declNode() {}
+func (astStack) declNode()    {}
 func (astPseudo) declNode()   {}
 func (astSpace) declNode()    {}
 func (astFormat) declNode()   {}

@@ -37,6 +37,7 @@ func (c *checker) check(f *astFile) (*Arch, error) {
 	c.arch = a
 
 	// Pass 1: architecture-level declarations.
+	stackLine := 0
 	for _, d := range f.decls {
 		var err error
 		switch d := d.(type) {
@@ -63,6 +64,8 @@ func (c *checker) check(f *astFile) (*Arch, error) {
 			} else {
 				r.Zero = true
 			}
+		case astStack:
+			a.StackTop, stackLine = d.top, d.line
 		case astSpace:
 			err = c.declSpace(d)
 		case astPseudo:
@@ -76,6 +79,9 @@ func (c *checker) check(f *astFile) (*Arch, error) {
 	}
 	if a.PC == nil {
 		return nil, c.errf(1, "architecture %s declares no [pc] register", a.Name)
+	}
+	if stackLine != 0 && (a.StackTop == 0 || a.StackTop>>(a.Bits-1)>>1 != 0) {
+		return nil, c.errf(stackLine, "stack top %#x is outside the %d-bit address space", a.StackTop, a.Bits)
 	}
 	if a.Space == nil {
 		a.Space = &Space{Name: "mem", AddrBits: a.Bits, CellBits: 8}
@@ -124,6 +130,10 @@ func splitIndexed(name string) (prefix string, idx uint64, ok bool) {
 	return name[:i], v, true
 }
 
+// maxFileRegs bounds a register file, so that a short description
+// cannot demand an unbounded model.
+const maxFileRegs = 1024
+
 func (c *checker) declReg(d astReg) error {
 	if d.width < 1 || d.width > 64 {
 		return c.errf(d.line, "register width must be 1..64")
@@ -137,6 +147,9 @@ func (c *checker) declReg(d astReg) error {
 		}
 		if loIdx != 0 {
 			return c.errf(d.line, "register files must start at index 0 (got %s)", d.loName)
+		}
+		if hiIdx >= maxFileRegs {
+			return c.errf(d.line, "register file %s has more than %d registers", loPre, maxFileRegs)
 		}
 		if len(d.attrs) > 0 || len(d.subs) > 0 {
 			return c.errf(d.line, "register files cannot carry attributes or subfields")

@@ -119,6 +119,13 @@ func (p *parser) parseDecl() (astDecl, error) {
 		return astAlias{name: name.text, target: tgt.text, line: t.line}, nil
 	case "pseudo":
 		return p.parsePseudo()
+	case "stack":
+		p.pos++
+		n, err := p.expect(tNumber)
+		if err != nil {
+			return nil, err
+		}
+		return astStack{top: n.num, line: t.line}, nil
 	case "hardwire":
 		p.pos++
 		name, err := p.expect(tIdent)

@@ -454,6 +454,20 @@ func (a *asmRun) resolve(ref immRef, line int) (uint64, error) {
 	return v, nil
 }
 
+// SplitHelpers names the split helpers that build an address from an
+// upper immediate above k low bits and a low part: hi16/lo16 when the
+// low part is ORed in (zero-extended), hi20/lo12 when it is added
+// (sign-extended, so the upper part rounds); "" when none splits so.
+func SplitHelpers(k uint, or bool) (hi, lo string) {
+	switch {
+	case or && k == 16:
+		return "hi16", "lo16"
+	case !or && k == 12:
+		return "hi20", "lo12"
+	}
+	return "", ""
+}
+
 func (a *asmRun) pass2() (*prog.Program, error) {
 	p := &prog.Program{Arch: a.as.arch.Name, Symbols: a.syms}
 	var cur *prog.Segment

@@ -98,3 +98,38 @@ yes:
 		t.Fatalf("stop %v output %v", stop, m.Output)
 	}
 }
+
+// TestTiny64PushPopFullWidth checks that tiny64's push and pop pseudos
+// move whole 64-bit words with an 8-byte stride.
+func TestTiny64PushPopFullWidth(t *testing.T) {
+	p := assemble(t, "tiny64", `
+_start:
+	li   r1, 0x7fff
+	slli r1, r1, 36
+	ori  r1, r1, 5       ; 0x7fff000000005
+	li   r2, -1
+	push r2
+	push r1
+	pop  r3
+	pop  r4
+	halt
+`)
+	m := conc.NewMachine(arch.MustLoad("tiny64"))
+	m.LoadProgram(p)
+	sp := m.Arch.Reg("sp")
+	m.WriteReg(sp, 0x8000)
+	if stop := m.Run(100); stop.Kind != conc.StopHalt {
+		t.Fatalf("stop %v", stop)
+	}
+	for _, c := range []struct {
+		reg  string
+		want uint64
+	}{{"r3", 0x7fff000000005}, {"r4", ^uint64(0)}, {"sp", 0x8000}} {
+		if got := m.ReadReg(m.Arch.Reg(c.reg)); got != c.want {
+			t.Errorf("%s = %#x, want %#x", c.reg, got, c.want)
+		}
+	}
+	if got := m.Load(0x8000-16, 8); got != 0x7fff000000005 {
+		t.Errorf("stacked word = %#x, want 0x7fff000000005", got)
+	}
+}

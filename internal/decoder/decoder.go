@@ -145,20 +145,7 @@ func (d *Decoder) match(candidates []*adl.Insn, w uint64, n int) (Decoded, bool)
 // targets.
 func Disasm(dec Decoded, addr uint64) string {
 	var sb strings.Builder
-	sb.WriteString(dec.Insn.Mnemonic)
-	for _, tok := range dec.Insn.AsmToks {
-		if tok.Operand == nil {
-			sb.WriteString(tok.Lit)
-			continue
-		}
-		// Operands get a leading space except directly after an opening
-		// parenthesis, so "lw %rd, %imm(%ra)" prints as "lw r1, 8(r2)".
-		s := sb.String()
-		if s[len(s)-1] != '(' {
-			sb.WriteByte(' ')
-		}
-		writeOperand(&sb, tok.Operand, dec.Ops[tok.Operand.Name], addr)
-	}
+	dec.Insn.Render(&sb, func(sb *strings.Builder, o *adl.Operand) { writeOperand(sb, o, dec.Ops[o.Name], addr) })
 	return sb.String()
 }
 

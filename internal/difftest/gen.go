@@ -350,21 +350,10 @@ func renderOperand(sb *strings.Builder, op *adl.Operand, v uint64, relLabel stri
 }
 
 // renderInsn formats an instruction from its template with the given
-// operand values, mirroring decoder.Disasm token for token.
+// operand values, as decoder.Disasm does.
 func renderInsn(ins *adl.Insn, vals map[string]uint64, relLabel string) string {
 	var sb strings.Builder
-	sb.WriteString(ins.Mnemonic)
-	for _, tok := range ins.AsmToks {
-		if tok.Operand == nil {
-			sb.WriteString(tok.Lit)
-			continue
-		}
-		s := sb.String()
-		if s[len(s)-1] != '(' {
-			sb.WriteByte(' ')
-		}
-		renderOperand(&sb, tok.Operand, vals[tok.Operand.Name], relLabel)
-	}
+	ins.Render(&sb, func(sb *strings.Builder, o *adl.Operand) { renderOperand(sb, o, vals[o.Name], relLabel) })
 	return sb.String()
 }
 

@@ -153,7 +153,7 @@ void main() {
 	exit();
 }
 `
-	for _, target := range []string{"tiny32", "rv32i"} { // 0x4142 needs >16-bit arithmetic
+	for _, target := range wideTargets() { // 0x4142 needs >16-bit arithmetic
 		p := compileTo(t, target, src)
 		a := arch.MustLoad(target)
 		e := core.NewEngine(a, p, core.Options{InputBytes: 3, MaxSteps: 3000})
