@@ -44,6 +44,8 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzProgUnmarshal -fuzztime=5s ./internal/prog
 	go test -run='^$$' -fuzz=FuzzUnmarshalSnapshot -fuzztime=5s -fuzzminimizetime=100x ./internal/core
 	go test -run='^$$' -fuzz=FuzzADLLoad -fuzztime=5s -fuzzminimizetime=100x ./internal/adl
+	go test -run='^$$' -fuzz=FuzzPersistEntry -fuzztime=5s ./internal/smt
+	go test -run='^$$' -fuzz=FuzzWALLoad -fuzztime=5s ./internal/wal
 
 # Differential oracle (docs/difftest.md): CI smoke with a fixed seed,
 # and a longer soak for local use.

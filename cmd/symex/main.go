@@ -97,18 +97,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var strat core.Strategy
-	switch *strategy {
-	case "dfs":
-		strat = core.DFS
-	case "bfs":
-		strat = core.BFS
-	case "random":
-		strat = core.Random
-	case "coverage":
-		strat = core.Coverage
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
+	strat, err := core.ParseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

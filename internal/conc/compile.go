@@ -3,14 +3,13 @@
 // The interpreted Step pays, per instruction: a fetch of MaxInsnBytes
 // from the memory map, a full decoder pass, and an AST walk of the
 // semantics. All three are per-address constants while the code bytes
-// do not change, so the machine keeps a per-address cache of compiled
-// units (decoded instruction + rtl.Compiled closure chain) and, above
-// it, a superblock cache: maximal runs of straightline units (no pc
-// write, no control event) chained so Run executes them back-to-back
-// with no per-instruction dispatch beyond one closure-chain call.
+// do not change, so Run goes through the translation cache shared with
+// the symbolic engine (decoder.Cache): compiled units, and superblocks
+// of straightline units executed back-to-back with no per-instruction
+// dispatch beyond one closure-chain call.
 //
-// Self-modification guard: the cache tracks the address span covered by
-// compiled code, including the decoder's lookahead window; any store
+// Self-modification guard: the machine tracks the address span covered
+// by cached units, including the decoder's lookahead window; any store
 // landing in the span flushes the whole cache (compiled code is cheap
 // to rebuild and self-modifying programs are rare). A flush mid-
 // superblock also ends that superblock after the current instruction,
@@ -18,35 +17,9 @@
 package conc
 
 import (
-	"repro/internal/cover"
 	"repro/internal/decoder"
 	"repro/internal/faultinject"
-	"repro/internal/rtl"
 )
-
-// maxSuperblock bounds the chain length of one superblock.
-const maxSuperblock = 64
-
-// concUnit is one compiled instruction in the machine's code cache.
-type concUnit struct {
-	dec  decoder.Decoded
-	unit *rtl.Compiled
-}
-
-// concBlock is a superblock: consecutive straightline units starting at
-// the cache key's address. A present-but-empty block records that the
-// head instruction is not straightline.
-type concBlock struct {
-	units []*concUnit
-}
-
-// codeCache is the machine's per-address compiled-code store.
-type codeCache struct {
-	units  map[uint64]*concUnit
-	blocks map[uint64]*concBlock
-	lo, hi uint64 // address span covered by compiled code (incl. decode lookahead)
-	gen    uint64 // bumped on every flush (superblocks in flight must stop)
-}
 
 // CompileStats counts the machine's compiled-execution activity; it is
 // the deterministic snapshot mirrored by the registry metrics.
@@ -58,27 +31,70 @@ type CompileStats struct {
 	Flushes    int64 // self-modification cache flushes
 }
 
-func (m *Machine) codeCacheInit() *codeCache {
-	if m.code == nil {
-		m.code = &codeCache{
-			units:  make(map[uint64]*concUnit),
-			blocks: make(map[uint64]*concBlock),
-		}
+// translation is the machine's compiled code: the cache and the address
+// span its units were decoded from.
+type translation struct {
+	*decoder.Cache        // nil until the first compiled step
+	lo, hi         uint64 // span covered by cached units (incl. decode lookahead)
+}
+
+// source is the machine as the translation cache sees it: bytes come
+// from the memory map, and every cached unit widens the flush span.
+type source Machine
+
+func (s *source) Decode(pc uint64) (decoder.Decoded, error) {
+	m := (*Machine)(s)
+	return m.Dec.Decode(m.fetch(pc))
+}
+
+// Clean is always true: the machine flushes the cache on a store into
+// the span instead of checking windows.
+func (s *source) Clean(uint64) bool { return true }
+
+func (s *source) AddUnit(u *decoder.Unit) {
+	m := (*Machine)(s)
+	// Extend the span over the decoder's full lookahead window: a store
+	// beyond the matched encoding but inside the window can still change
+	// which (longer) encoding matches.
+	c := &m.code
+	end := u.PC + uint64(m.Arch.MaxInsnBytes())
+	if c.hi <= c.lo {
+		c.lo, c.hi = u.PC, end
+	} else {
+		c.lo, c.hi = min(c.lo, u.PC), max(c.hi, end)
 	}
-	return m.code
+	m.CompileStats.Units++
+	if m.Metrics != nil {
+		m.Metrics.CompileUnits.Inc()
+	}
+}
+
+func (s *source) AddBlock(b *decoder.Block) {
+	m := (*Machine)(s)
+	m.CompileStats.Blocks++
+	if m.Metrics != nil {
+		m.Metrics.SuperblockBuilds.Inc()
+		m.Metrics.SuperblockLen.Observe(float64(len(b.Units)))
+	}
+}
+
+// cache returns the machine's translation cache, creating it on first
+// use.
+func (m *Machine) cache() *decoder.Cache {
+	if m.code.Cache == nil {
+		m.code.Cache = decoder.NewCache(m.Arch, decoder.Compiled)
+	}
+	return m.code.Cache
 }
 
 // flushCode drops every compiled unit and superblock. Called when a
 // store lands inside the compiled span (self-modifying code) and when a
 // new program image is loaded.
 func (m *Machine) flushCode() {
-	if m.code == nil {
+	if m.code.Cache == nil {
 		return
 	}
-	m.code.units = make(map[uint64]*concUnit)
-	m.code.blocks = make(map[uint64]*concBlock)
-	m.code.lo, m.code.hi = 0, 0
-	m.code.gen++
+	m.code = translation{}
 	m.CompileStats.Flushes++
 }
 
@@ -86,8 +102,8 @@ func (m *Machine) flushCode() {
 // span. The span check runs per written cell because addresses wrap at
 // the architecture's width.
 func (m *Machine) noteStore(addr uint64, cells uint) {
-	c := m.code
-	if c == nil || c.hi <= c.lo {
+	c := &m.code
+	if c.hi <= c.lo {
 		return
 	}
 	for i := uint(0); i < cells; i++ {
@@ -99,113 +115,6 @@ func (m *Machine) noteStore(addr uint64, cells uint) {
 	}
 }
 
-// unitAt returns the compiled unit for the instruction at pc, compiling
-// on first use. The non-nil Stop reports undecodable bytes.
-func (m *Machine) unitAt(pc uint64) (*concUnit, *Stop) {
-	c := m.codeCacheInit()
-	if u, ok := c.units[pc]; ok {
-		return u, nil
-	}
-	dec, err := m.Dec.Decode(m.fetch(pc))
-	if err != nil {
-		return nil, &Stop{Kind: StopDecode, PC: pc, Err: err}
-	}
-	u := &concUnit{dec: dec, unit: rtl.Compile(dec.Insn, dec.Ops, m.Arch.PC)}
-	c.units[pc] = u
-	// Extend the self-modification span over the decoder's full
-	// lookahead window: a store beyond the matched encoding but inside
-	// the window can still change which (longer) encoding matches.
-	end := pc + uint64(m.Arch.MaxInsnBytes())
-	if c.hi <= c.lo {
-		c.lo, c.hi = pc, end
-	} else {
-		if pc < c.lo {
-			c.lo = pc
-		}
-		if end > c.hi {
-			c.hi = end
-		}
-	}
-	m.CompileStats.Units++
-	if m.Metrics != nil {
-		m.Metrics.CompileUnits.Inc()
-	}
-	return u, nil
-}
-
-// blockAt returns the superblock starting at pc, building and caching
-// it on first use (an empty block marks a non-straightline head). nil
-// means the head instruction failed to decode.
-func (m *Machine) blockAt(pc uint64) *concBlock {
-	c := m.codeCacheInit()
-	if b, ok := c.blocks[pc]; ok {
-		return b
-	}
-	blk := &concBlock{}
-	cur := pc
-	for len(blk.units) < maxSuperblock {
-		u, stop := m.unitAt(cur)
-		if stop != nil {
-			if cur == pc {
-				return nil // let the single-step path surface the decode error
-			}
-			break
-		}
-		if !u.unit.Straightline() {
-			break
-		}
-		blk.units = append(blk.units, u)
-		cur = m.trunc(cur + uint64(u.dec.Len))
-	}
-	c.blocks[pc] = blk
-	if len(blk.units) > 0 {
-		m.CompileStats.Blocks++
-		if m.Metrics != nil {
-			m.Metrics.SuperblockBuilds.Inc()
-			m.Metrics.SuperblockLen.Observe(float64(len(blk.units)))
-		}
-	}
-	return blk
-}
-
-// execUnit executes one compiled instruction at pc: the exact
-// post-decode sequence of the interpreted Step (coverage, event
-// handling, fall-through pc update). The caller has already fired the
-// per-step injection site.
-func (m *Machine) execUnit(pc uint64, u *concUnit) *Stop {
-	m.pcWritten = false
-	if m.Prof != nil {
-		m.Prof.Exec(pc, u.unit.Mnemonic, u.unit.Format)
-	}
-	res := u.unit.ExecConc(m, &m.scratch)
-	m.Steps++
-	if m.Cov != nil {
-		m.Cov.Hit(cover.LConc, u.dec.Insn)
-		m.Cov.Branch(cover.LConc, u.dec.Insn, m.pcWritten)
-	}
-	switch {
-	case res.Fault != "":
-		m.Cov.Event(cover.LConc, cover.EvFault)
-		return &Stop{Kind: StopFault, PC: pc, Fault: res.Fault}
-	case res.Halted:
-		m.Cov.Event(cover.LConc, cover.EvHalt)
-		return &Stop{Kind: StopHalt, PC: pc}
-	case res.Trapped:
-		m.Cov.Event(cover.LConc, cover.EvTrap)
-		halt, err := m.trap(res.TrapCode)
-		if err != nil {
-			return &Stop{Kind: StopFault, PC: pc, Fault: err.Error()}
-		}
-		if halt {
-			return &Stop{Kind: StopExit, PC: pc}
-		}
-	}
-	if !m.pcWritten {
-		m.WriteReg(m.Arch.PC, pc+uint64(u.dec.Len))
-	}
-	return nil
-}
-
 // runChunk advances the machine by up to budget instructions: a whole
 // superblock when the current pc heads one, a single compiled
 // instruction otherwise. It returns a non-nil Stop when the run ends.
@@ -214,42 +123,34 @@ func (m *Machine) execUnit(pc uint64, u *concUnit) *Stop {
 func (m *Machine) runChunk(budget int64) (done *Stop) {
 	pc := m.PC()
 	m.curPC = pc
-	blk := m.blockAt(pc)
-	if blk != nil && len(blk.units) > 0 {
-		n := len(blk.units)
-		if int64(n) > budget {
-			n = int(budget)
-		}
-		m.CompileStats.BlockHits++
-		m.CompileStats.BlockInsns += int64(n)
-		if m.Metrics != nil {
-			m.Metrics.SuperblockHits.Inc()
-			m.Metrics.SuperblockInsns.Add(int64(n))
-		}
-		gen := m.code.gen
-		for i := 0; i < n; i++ {
-			u := blk.units[i]
-			m.curPC = pc
-			m.Inject.Fire(faultinject.SiteConcStep)
-			if s := m.execUnit(pc, u); s != nil {
-				return s
-			}
-			pc = m.PC()
-			if m.code.gen != gen {
-				// A store inside this superblock's span invalidated the
-				// units decoded after the current instruction.
-				return nil
-			}
-		}
-		return nil
+	c := m.cache()
+	blk := c.Block(pc, (*source)(m))
+	if len(blk.Units) == 0 {
+		// Non-straightline head (branch, trap, halt) or undecodable
+		// bytes: one compiled step.
+		return m.step(pc)
 	}
-	// Non-straightline head (branch, trap, halt) or undecodable bytes:
-	// one compiled step, mirroring the interpreted order (injection site
-	// fires before the decode attempt).
-	m.Inject.Fire(faultinject.SiteConcStep)
-	u, stop := m.unitAt(pc)
-	if stop != nil {
-		return stop
+	n := len(blk.Units)
+	if int64(n) > budget {
+		n = int(budget)
 	}
-	return m.execUnit(pc, u)
+	m.CompileStats.BlockHits++
+	m.CompileStats.BlockInsns += int64(n)
+	if m.Metrics != nil {
+		m.Metrics.SuperblockHits.Inc()
+		m.Metrics.SuperblockInsns.Add(int64(n))
+	}
+	for _, u := range blk.Units[:n] {
+		m.curPC = u.PC
+		m.Inject.Fire(faultinject.SiteConcStep)
+		if s := m.exec(u); s != nil {
+			return s
+		}
+		if m.code.Cache != c {
+			// A store inside this superblock's span invalidated the
+			// units decoded after the current instruction.
+			return nil
+		}
+	}
+	return nil
 }

@@ -139,7 +139,7 @@ type Machine struct {
 	// for this machine (the registry metrics mirror it).
 	CompileStats CompileStats
 
-	code    *codeCache  // per-address compiled units and superblocks
+	code    translation // translation cache and its flush span (compile.go)
 	scratch rtl.Scratch // reusable locals buffer (also for the interpreted path)
 	curPC   uint64      // instruction under execution (panic attribution in superblocks)
 
@@ -294,36 +294,50 @@ func (m *Machine) Step() (done *Stop) {
 			done = m.recoverStop(pc, r)
 		}
 	}()
+	return m.step(pc)
+}
+
+// step runs the instruction at pc: the compiled unit from the
+// translation cache, or under NoCompile a fresh decode that is
+// interpreted. The per-step injection site fires before the decode.
+func (m *Machine) step(pc uint64) *Stop {
 	m.Inject.Fire(faultinject.SiteConcStep)
-	if !m.NoCompile {
-		// Compiled single step: per-address cached decode + closure
-		// chain. Run additionally chains superblocks (compile.go).
-		u, stop := m.unitAt(pc)
-		if stop != nil {
-			return stop
-		}
-		return m.execUnit(pc, u)
+	var u *decoder.Unit
+	var err error
+	if m.NoCompile {
+		var t decoder.Unit
+		t, err = decoder.Translate(m.Arch, pc, (*source)(m), false)
+		u = &t
+	} else {
+		u, err = m.cache().Unit(pc, (*source)(m))
 	}
-	buf := m.fetch(pc)
-	dec, err := m.Dec.Decode(buf)
 	if err != nil {
 		return &Stop{Kind: StopDecode, PC: pc, Err: err}
 	}
+	return m.exec(u)
+}
+
+// exec executes one translated instruction: its semantics (compiled or
+// interpreted), coverage, event handling and the fall-through pc
+// update.
+func (m *Machine) exec(u *decoder.Unit) *Stop {
+	pc := u.PC
 	m.pcWritten = false
 	if m.Prof != nil {
-		format := ""
-		if dec.Insn.Format != nil {
-			format = dec.Insn.Format.Name
-		}
-		m.Prof.Exec(pc, dec.Insn.Mnemonic, format)
+		m.Prof.Exec(pc, u.Insn.Mnemonic, u.Format)
 	}
-	res := rtl.ConcExecScratch(m, dec.Insn, dec.Ops, &m.scratch)
+	var res rtl.ConcResult
+	if u.Code != nil {
+		res = u.Code.ExecConc(m, &m.scratch)
+	} else {
+		res = rtl.ConcExecScratch(m, u.Insn, u.Ops, &m.scratch)
+	}
 	m.Steps++
 	if m.Cov != nil {
-		m.Cov.Hit(cover.LConc, dec.Insn)
+		m.Cov.Hit(cover.LConc, u.Insn)
 		// For a branch-classified instruction the taken way is exactly
 		// "the semantics wrote pc" (the not-taken way falls through).
-		m.Cov.Branch(cover.LConc, dec.Insn, m.pcWritten)
+		m.Cov.Branch(cover.LConc, u.Insn, m.pcWritten)
 	}
 	switch {
 	case res.Fault != "":
@@ -343,7 +357,7 @@ func (m *Machine) Step() (done *Stop) {
 		}
 	}
 	if !m.pcWritten {
-		m.WriteReg(m.Arch.PC, pc+uint64(dec.Len))
+		m.WriteReg(m.Arch.PC, u.Cont)
 	}
 	return nil
 }

@@ -141,6 +141,59 @@ src:
 	}
 }
 
+// TestCompiledForwardPatchInSuperblock pins the per-unit window
+// re-check of superblock execution: a straight-line store overwrites a
+// later instruction of the superblock it runs in, so the units after it
+// were decoded from bytes that are now stale. The path ends at the good
+// halt only if the patched instruction ran. Compiled and interpreted
+// runs must agree at 1 and 2 workers.
+func TestCompiledForwardPatchInSuperblock(t *testing.T) {
+	src := `
+_start:
+	li r3, src
+	lw r2, 0(r3)
+	li r4, patch
+	li r6, 99
+	sw r2, 0(r4)
+	addi r5, r5, 1
+patch:
+	addi r1, r0, 7
+	beq r1, r6, good
+	halt
+good:
+	mov r1, r1
+	halt
+src:
+	addi r1, r0, 99
+`
+	var ref *core.Report
+	for _, workers := range []int{1, 2} {
+		for _, noCompile := range []bool{false, true} {
+			r := exploreWith(t, "tiny32", src, core.Options{MaxPaths: 10, Workers: workers, NoCompile: noCompile})
+			if len(r.Paths) != 1 || r.Paths[0].Status != core.StatusHalt {
+				t.Fatalf("workers=%d noCompile=%v: paths %v, want one halted path", workers, noCompile, r.Paths)
+			}
+			if ref == nil {
+				ref = r
+				continue
+			}
+			if !equalStrings(pathKeys(r), pathKeys(ref)) || r.Paths[0].Steps != ref.Paths[0].Steps {
+				t.Errorf("workers=%d noCompile=%v: path %v (%d steps), want %v (%d steps)", workers, noCompile,
+					pathKeys(r), r.Paths[0].Steps, pathKeys(ref), ref.Paths[0].Steps)
+			}
+		}
+	}
+	// The good halt is the last instruction before src: the patched
+	// compare took the branch.
+	good := build(t, "tiny32", src).Symbols["good"]
+	if end := ref.Paths[0].EndPC; end != good+4 {
+		t.Errorf("path ended at %#x, want the halt after good (%#x): the stale unit ran", end, good+4)
+	}
+	if ref.Stats.SuperblockHits == 0 {
+		t.Error("the patching store did not run inside a superblock")
+	}
+}
+
 // TestCompiledSuperblocksUsed checks the superblock layer actually
 // engages on straightline-heavy code.
 func TestCompiledSuperblocksUsed(t *testing.T) {

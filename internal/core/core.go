@@ -53,6 +53,20 @@ func (s Strategy) String() string {
 	return "unknown"
 }
 
+// ParseStrategy is the inverse of Strategy.String; the empty name
+// selects the default, DFS.
+func ParseStrategy(name string) (Strategy, error) {
+	if name == "" {
+		return DFS, nil
+	}
+	for s := DFS; s <= Coverage; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want dfs, bfs, random or coverage)", name)
+}
+
 // Options configures an analysis run. The zero value is usable; missing
 // limits default to moderate values.
 type Options struct {
@@ -73,9 +87,9 @@ type Options struct {
 	// MaxSolverConflicts bounds each SMT query (0 = unlimited).
 	MaxSolverConflicts int64
 
-	// NoTranslationCache disables the per-address decode cache (ablation).
-	// It also disables compiled execution: the compile cache is itself a
-	// translation cache, so the ablation must cover both.
+	// NoTranslationCache disables the per-address translation cache
+	// (ablation): every step decodes afresh and interprets. It also
+	// disables compiled execution, whose units live in that cache.
 	NoTranslationCache bool
 
 	// NoCompile disables compiled execution (ablation): every
@@ -388,16 +402,16 @@ type Engine struct {
 	// Layout lists the valid memory regions for out-of-bounds checking.
 	Layout []Region
 
-	xlate  map[uint64]decoder.Decoded
 	visits map[uint64]int64 // per-pc execution counts (coverage strategy)
 	rng    *rand.Rand
 
-	// compiled is the shared compiled-code cache (docs/compile.md);
-	// workers of a parallel run share one instance. scratch is this
-	// engine's private locals buffer for compiled execution — never
-	// shared, it is mutable per-exec state.
-	compiled *compileCache
-	scratch  rtl.Scratch
+	// code is the translation cache (docs/compile.md); workers of a
+	// parallel run share one instance. src is this engine's side of its
+	// lookups, and scratch its private locals buffer for compiled
+	// execution — never shared, both are mutable per-step state.
+	code    *decoder.Cache
+	src     source
+	scratch rtl.Scratch
 
 	nextID int
 	report Report
@@ -473,18 +487,17 @@ func NewEngine(a *adl.Arch, p *prog.Program, opts Options) *Engine {
 	b := expr.NewBuilder()
 	b.Simplify = !opts.NoSimplify
 	e := &Engine{
-		Arch:     a,
-		B:        b,
-		Solver:   smt.New(b),
-		Dec:      decoder.New(a),
-		Prog:     p,
-		Opts:     opts,
-		xlate:    make(map[uint64]decoder.Decoded),
-		visits:   make(map[uint64]int64),
-		rng:      rand.New(rand.NewSource(opts.Seed + 1)),
-		bugSeen:  newBugDedup(),
-		compiled: newCompileCache(),
+		Arch:    a,
+		B:       b,
+		Solver:  smt.New(b),
+		Dec:     decoder.New(a),
+		Prog:    p,
+		Opts:    opts,
+		visits:  make(map[uint64]int64),
+		rng:     rand.New(rand.NewSource(opts.Seed + 1)),
+		bugSeen: newBugDedup(),
 	}
+	e.code = newCache(e)
 	e.inputNames = make([]string, opts.InputBytes)
 	for i := range e.inputNames {
 		e.inputNames[i] = fmt.Sprintf("in%d", i)

@@ -420,3 +420,21 @@ _start:
 	}
 	_ = expr.Env{}
 }
+
+// TestParseStrategy checks that ParseStrategy inverts Strategy.String
+// for every strategy, maps the empty name to DFS and rejects unknown
+// names.
+func TestParseStrategy(t *testing.T) {
+	for _, s := range []core.Strategy{core.DFS, core.BFS, core.Random, core.Coverage} {
+		got, err := core.ParseStrategy(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	if got, err := core.ParseStrategy(""); err != nil || got != core.DFS {
+		t.Errorf(`ParseStrategy("") = %v, %v; want dfs`, got, err)
+	}
+	if _, err := core.ParseStrategy("greedy"); err == nil {
+		t.Error(`ParseStrategy("greedy") accepted an unknown name`)
+	}
+}

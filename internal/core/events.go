@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/adl"
 	"repro/internal/cover"
+	"repro/internal/decoder"
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/smt"
@@ -358,38 +359,42 @@ func (r *recorder) stepDone(pc uint64, t0 time.Time) {
 // exec records one executed instruction; first marks the first
 // execution of pc in the run. Superblock units pass profiled false:
 // the profile records them with the block.
-func (r *recorder) exec(pc uint64, insn *adl.Insn, first, profiled bool) {
+func (r *recorder) exec(u *decoder.Unit, first, profiled bool) {
 	r.blk[cInstructions].Add(1)
 	if first {
 		r.blk[cCovered].Add(1)
 	}
-	r.cov.Hit(cover.LSym, insn)
+	r.cov.Hit(cover.LSym, u.Insn)
 	if profiled && r.prof != nil {
-		r.prof.Exec(pc, insn.Mnemonic, formatName(insn))
+		r.prof.Exec(u.PC, u.Insn.Mnemonic, u.Format)
 	}
 }
 
 // block records one execution of the first k units of a superblock.
-func (r *recorder) block(blk *compBlock, k int) {
+func (r *recorder) block(blk *decoder.Block, k int) {
 	r.blk[cSuperblockHits].Add(1)
 	r.blk[cSuperblockInsns].Add(int64(k))
 	switch {
 	case r.prof == nil:
-	case blk.shared:
-		r.prof.ExecBlock(blk, blk.prof, k)
+	case blk.Cached:
+		r.prof.ExecBlock(blk, k, func() []profile.BlockUnit {
+			units := make([]profile.BlockUnit, len(blk.Units))
+			for i, u := range blk.Units {
+				units[i] = profile.BlockUnit{PC: u.PC, Mnemonic: u.Insn.Mnemonic, Format: u.Format, Cont: u.Cont}
+			}
+			return units
+		})
 	default:
 		// A truncated block is rebuilt per call, so its pointer is no
 		// stable key: record its units one by one.
-		for _, u := range blk.prof[:k] {
-			r.prof.Exec(u.PC, u.Mnemonic, u.Format)
+		for _, u := range blk.Units[:k] {
+			r.prof.Exec(u.PC, u.Insn.Mnemonic, u.Format)
 			r.prof.Edge(u.PC, u.Cont)
 		}
 	}
 }
 
-// decode records one decoder invocation at pc, started at t0. Only
-// decoder calls are timed: translation-cache hits, the common case,
-// must not pay for two clock reads per instruction.
+// decode records one decoder invocation at pc, started at t0.
 func (r *recorder) decode(pc uint64, t0 time.Time) {
 	r.blk[cDecodes].Add(1)
 	r.prof.CompileMiss(pc)

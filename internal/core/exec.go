@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/adl"
 	"repro/internal/bv"
 	"repro/internal/cover"
 	"repro/internal/decoder"
 	"repro/internal/expr"
+	"repro/internal/faultinject"
 	"repro/internal/rtl"
 	"repro/internal/smt"
 )
@@ -233,79 +233,65 @@ func (st *State) done(status Status) *State {
 	return st
 }
 
-// formatName is the encoding-format symbolization handed to the
-// profiler alongside the mnemonic.
-func formatName(ins *adl.Insn) string {
-	if ins.Format == nil {
-		return ""
-	}
-	return ins.Format.Name
-}
-
-// decode fetches and decodes the instruction at the state's pc, going
-// through the per-address translation cache when the bytes come from the
-// unmodified image.
-func (e *Engine) decode(st *State) (decoder.Decoded, error) {
-	maxLen := e.Arch.MaxInsnBytes()
-	cacheable := !st.mem.writtenRange(st.PC, maxLen)
-	if !e.Opts.NoTranslationCache && cacheable {
-		if d, ok := e.xlate[st.PC]; ok {
-			return d, nil
-		}
-	}
-	buf, ok := st.mem.ConcreteFetch(st.PC, maxLen)
-	if !ok {
-		return decoder.Decoded{}, fmt.Errorf("symbolic instruction bytes at %#x", st.PC)
-	}
-	d, err := e.decodeAt(st.PC, buf)
-	if err != nil {
-		return decoder.Decoded{}, err
-	}
-	if !e.Opts.NoTranslationCache && cacheable {
-		e.xlate[st.PC] = d
-	}
-	return d, nil
-}
-
-// decodeAt runs the decoder on the instruction bytes fetched at pc: a
-// translation-cache miss of the interpreted or the compiled path.
-func (e *Engine) decodeAt(pc uint64, buf []byte) (decoder.Decoded, error) {
-	defer e.rec.decode(pc, e.rec.now())
-	return e.Dec.Decode(buf)
-}
-
 // step executes one instruction of st and returns the successor states
 // (one or more on forks; completed states have Done set).
+//
+// Instructions whose fetch window the state has not written come from
+// the translation cache shared by all workers (docs/compile.md): a
+// superblock when the head is straightline, else one cached unit.
+// States that have written over their own code, and the
+// NoTranslationCache ablation, decode afresh and interpret.
 func (e *Engine) step(st *State) ([]*State, error) {
-	// Compiled execution (docs/compile.md): when the instruction bytes
-	// come from the unmodified image, run through the shared cache of
-	// closure-compiled units and superblocks. States whose memory
-	// overlay touches the fetch window — self-modifying code — and the
-	// NoCompile/NoTranslationCache ablations take the interpreter below.
-	if e.compileOn() && !st.mem.writtenRange(st.PC, e.Arch.MaxInsnBytes()) {
-		return e.stepCompiled(st)
+	e.src = source{e: e, st: st}
+	src := &e.src
+	var u *decoder.Unit
+	var err error
+	if e.Opts.NoTranslationCache || !src.Clean(st.PC) {
+		var t decoder.Unit
+		t, err = decoder.Translate(e.Arch, st.PC, src, true)
+		u = &t
+	} else {
+		// Opportunistic merging needs lockstep stepping — both branch
+		// sides live at the join pc at the same time — so MergeStates
+		// runs units one per step call and never chains.
+		if !e.Opts.NoCompile && !e.Opts.MergeStates {
+			if blk := e.code.Block(st.PC, src); len(blk.Units) > 0 {
+				return e.runBlock(st, blk, src)
+			}
+		}
+		u, err = e.code.Unit(st.PC, src)
 	}
-
-	dec, err := e.decode(st)
 	if err != nil {
 		st.Fault = err.Error()
 		return []*State{st.done(StatusDecode)}, nil
 	}
-	e.rec.exec(st.PC, dec.Insn, e.visit(st.PC), true)
-	st.Steps++
+	return e.exec(st, u)
+}
 
+// exec executes one translated instruction with full control-flow
+// handling. Its semantics run compiled when the unit carries code and
+// through the RTL interpreter otherwise.
+func (e *Engine) exec(st *State, u *decoder.Unit) ([]*State, error) {
 	insAddr := st.PC
-	disasm := decoder.Disasm(dec, insAddr)
+	e.rec.exec(u, e.visit(insAddr), true)
+	st.Steps++
 
 	// The pc register holds the fall-through continuation; semantic reads
 	// of pc observe the instruction's own address via execCtx.ReadReg.
 	pcReg := e.Arch.PC
-	cont := bv.Trunc(insAddr+uint64(dec.Len), e.Arch.Bits)
-	st.SetReg(pcReg, e.B.Const(pcReg.Width, cont))
+	st.SetReg(pcReg, e.B.Const(pcReg.Width, u.Cont))
 
-	ec := &execCtx{e: e, st: st, insAddr: insAddr, disasm: disasm}
-	ev := &rtl.SymEval{B: e.B, A: e.Arch, Cov: e.rec.cov, Inject: e.inject}
-	events := ev.Exec(ec, dec.Insn, dec.Ops)
+	ec := &execCtx{e: e, st: st, insAddr: insAddr, disasm: u.Disasm}
+	var events []rtl.Event
+	if u.Code != nil {
+		// The interpreter's SymEval.Exec fires these once per instruction.
+		e.inject.Fire(faultinject.SiteTranslate)
+		e.rec.cov.Hit(cover.LTranslate, u.Insn)
+		events = u.Code.ExecSym(e.B, ec, &e.scratch)
+	} else {
+		ev := &rtl.SymEval{B: e.B, A: e.Arch, Cov: e.rec.cov, Inject: e.inject}
+		events = ev.Exec(ec, u.Insn, u.Ops)
+	}
 	if ec.err != nil {
 		return nil, ec.err
 	}
@@ -315,7 +301,7 @@ func (e *Engine) step(st *State) ([]*State, error) {
 	}
 
 	// Process control events in order; states may split per event.
-	done, continuing, err := e.handleEvents(st, events, insAddr, disasm)
+	done, continuing, err := e.handleEvents(st, events, insAddr, u.Disasm)
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +312,7 @@ func (e *Engine) step(st *State) ([]*State, error) {
 			out = append(out, c.done(StatusSteps))
 			continue
 		}
-		next, err := e.resolvePC(c, dec, insAddr, disasm)
+		next, err := e.resolvePC(c, u)
 		if err != nil {
 			return nil, err
 		}
@@ -479,16 +465,16 @@ func (e *Engine) trap(st *State, code *expr.Expr, pc uint64) *State {
 	return st.done(StatusFault)
 }
 
-// resolvePC turns the (possibly symbolic) post-instruction pc into
-// concrete successor states. The pc register already holds the
+// resolvePC turns the (possibly symbolic) pc after the instruction u
+// into concrete successor states. The pc register already holds the
 // fall-through continuation when the semantics did not branch.
-func (e *Engine) resolvePC(st *State, dec decoder.Decoded, insAddr uint64, disasm string) ([]*State, error) {
+func (e *Engine) resolvePC(st *State, u *decoder.Unit) ([]*State, error) {
 	pcv := st.Reg(e.Arch.PC)
 	if targets, ok := e.splitTargets(pcv, nil); ok {
-		return e.forkTargets(st, targets, dec, insAddr)
+		return e.forkTargets(st, targets, u)
 	}
 	// General symbolic target: tell the checkers, then enumerate models.
-	ctx := &CheckCtx{Engine: e, State: st, PC: insAddr, Insn: disasm}
+	ctx := &CheckCtx{Engine: e, State: st, PC: u.PC, Insn: u.Disasm}
 	for _, c := range e.checkers {
 		c.Jump(ctx, pcv)
 	}
@@ -524,21 +510,20 @@ func (e *Engine) splitTargets(pcv *expr.Expr, conds []*expr.Expr) ([]target, boo
 	}
 }
 
-// forkTargets creates one successor per feasible target. dec and
-// insAddr identify the branching instruction for coverage: a target is
-// the taken outcome when it differs from the fall-through continuation,
-// and a polarity counts for the solver layer only when a feasibility
-// check actually discharged it.
-func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAddr uint64) ([]*State, error) {
+// forkTargets creates one successor per feasible target. u is the
+// branching instruction, for coverage: a target is the taken outcome
+// when it differs from the fall-through continuation, and a polarity
+// counts for the solver layer only when a feasibility check actually
+// discharged it.
+func (e *Engine) forkTargets(st *State, ts []target, u *decoder.Unit) ([]*State, error) {
 	var out []*State
 	if len(ts) > 1 {
-		e.rec.fork(insAddr, int64(len(ts)-1))
+		e.rec.fork(u.PC, int64(len(ts)-1))
 	}
-	cont := bv.Trunc(insAddr+uint64(dec.Len), e.Arch.Bits)
 	baseSig := st.sig
 	for i, t := range ts {
 		cond := append(append([]*expr.Expr(nil), st.PathCond...), t.conds...)
-		taken := bv.Trunc(t.addr, e.Arch.Bits) != cont
+		taken := bv.Trunc(t.addr, e.Arch.Bits) != u.Cont
 		checked := len(ts) > 1 || len(t.conds) > 0
 		if checked {
 			t0 := e.rec.now()
@@ -546,7 +531,7 @@ func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAdd
 			if err != nil {
 				return nil, err
 			}
-			e.rec.target(st, t.addr, t0, ok, dec.Insn, taken)
+			e.rec.target(st, t.addr, t0, ok, u.Insn, taken)
 			if !ok {
 				continue
 			}
@@ -566,7 +551,7 @@ func (e *Engine) forkTargets(st *State, ts []target, dec decoder.Decoded, insAdd
 		}
 		child.sig = sig
 		child.PC = bv.Trunc(t.addr, e.Arch.Bits)
-		e.rec.successor(st, child, insAddr, dec.Insn, taken, cloned)
+		e.rec.successor(st, child, u.PC, u.Insn, taken, cloned)
 		out = append(out, child)
 	}
 	return out, nil

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/decoder"
 	"repro/internal/expr"
 	"repro/internal/smt"
 )
@@ -292,9 +291,8 @@ func (e *Engine) workerEngine(i int, vt *visitTable, pr *parRun) *Engine {
 		Opts:       e.Opts,
 		checkers:   e.checkers,
 		Layout:     e.Layout,
-		xlate:      make(map[uint64]decoder.Decoded),
 		visits:     make(map[uint64]int64),
-		compiled:   e.compiled,
+		code:       e.code,
 		rng:        rand.New(rand.NewSource(e.Opts.Seed + 0x9e37 + int64(i))),
 		bugSeen:    e.bugSeen,
 		cache:      e.cache,

@@ -234,10 +234,9 @@ type Shard struct {
 	curPC  uint64 // PC of the state being stepped; solver queries attribute here
 }
 
-// BlockUnit is one unit of a compiled superblock, precomputed by the
-// engine at block-build time so that executing the block records one
-// map operation (ExecBlock) instead of two per instruction (Exec +
-// Edge).
+// BlockUnit is one unit of a compiled superblock, listed once per
+// block and shard so that executing the block records one map
+// operation (ExecBlock) instead of two per instruction (Exec + Edge).
 type BlockUnit struct {
 	PC       uint64
 	Mnemonic string
@@ -287,14 +286,16 @@ func (s *Shard) Exec(pc uint64, mnemonic, format string) {
 // superblock: the instruction and fall-through edge of every executed
 // unit, deferred until fold time. key must be stable for the block
 // across executions (the engine passes the shared block pointer); a
-// fresh key per call would grow the aggregate map without bound.
-func (s *Shard) ExecBlock(key any, units []BlockUnit, k int) {
+// fresh key per call would grow the aggregate map without bound. units
+// lists the block's units; it is called the first time the shard sees
+// key.
+func (s *Shard) ExecBlock(key any, k int, units func() []BlockUnit) {
 	if s == nil || k <= 0 {
 		return
 	}
 	a, ok := s.blocks[key]
 	if !ok {
-		a = &blockAgg{units: units}
+		a = &blockAgg{units: units()}
 		s.blocks[key] = a
 	}
 	if k >= len(a.units) {

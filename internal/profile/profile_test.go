@@ -97,11 +97,16 @@ func TestExecBlock(t *testing.T) {
 	p := New(Meta{ADL: "tiny32"})
 	s := p.NewShard()
 	key := &units
+	lists := 0
+	list := func() []BlockUnit { lists++; return units }
 	for i := 0; i < 5; i++ {
-		s.ExecBlock(key, units, len(units)) // 5 full runs
+		s.ExecBlock(key, len(units), list) // 5 full runs
 	}
-	s.ExecBlock(key, units, 2) // one run exited before the third unit
-	s.ExecBlock(key, units, 0) // no units executed: no records
+	s.ExecBlock(key, 2, list) // one run exited before the third unit
+	s.ExecBlock(key, 0, list) // no units executed: no records
+	if lists != 1 {
+		t.Errorf("unit list built %d times, want once per key", lists)
+	}
 	p.Fold(s)
 
 	snap := p.Snapshot()
@@ -157,7 +162,7 @@ func TestNilSafety(t *testing.T) {
 	s.CompileMiss(1)
 	s.Degrade("c")
 	s.Edge(1, 2)
-	s.ExecBlock("k", nil, 1)
+	s.ExecBlock("k", 1, func() []BlockUnit { return nil })
 	p.Fold(s)
 	p.Fold(nil)
 	p.Absorb(nil)

@@ -58,13 +58,6 @@ type Compiled struct {
 	// in the semantics, even under a condition.
 	HasCtl bool
 
-	// Mnemonic and Format carry the ADL symbolization of the compiled
-	// instruction (its mnemonic and encoding-format name), so profiling
-	// and diagnostics on the compiled path can name guest instructions
-	// without re-decoding.
-	Mnemonic string
-	Format   string
-
 	conc []concStmtFn
 	sym  []symStmtFn
 }
@@ -239,10 +232,7 @@ func (u *Compiled) ExecSym(b *expr.Builder, st SymState, sc *Scratch) []Event {
 // the same recover boundaries.
 func Compile(ins *adl.Insn, ops Operands, pc *adl.Reg) *Compiled {
 	cc := &compiler{ops: ops, pc: pc}
-	u := &Compiled{NumLocals: adl.NumLocals(ins.Sem), Mnemonic: ins.Mnemonic}
-	if ins.Format != nil {
-		u.Format = ins.Format.Name
-	}
+	u := &Compiled{NumLocals: adl.NumLocals(ins.Sem)}
 	if pc == nil {
 		u.WritesPC = true
 	}

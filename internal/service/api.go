@@ -207,10 +207,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{digest}", s.handleTrend)
 
 	obsH := s.obsHandler
-	mux.Handle("GET /metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.refreshMetrics()
-		obsH.ServeHTTP(w, r)
-	}))
+	mux.Handle("GET /metrics", obsH)
 	mux.Handle("GET /coverage", obsH)
 	mux.Handle("GET /debug/", obsH)
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, _ *http.Request) {

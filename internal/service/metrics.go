@@ -1,16 +1,16 @@
 // Service-level metrics (docs/observability.md): job scheduling
 // counters, queue gauges, and the persistence/cross-run cache series
-// the acceptance smoke reads off /metrics. Counters backed by sampled
-// sources (the cache and the persistent log keep their own totals) are
-// exported as deltas against the last refresh, so Prometheus sees
-// proper monotone counters.
+// the acceptance smoke reads off /metrics. The shared cache, the
+// persistent log and the job journal keep their own totals; their
+// series read those totals at scrape time instead of keeping copies.
 package service
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/smt"
+	"repro/internal/wal"
 )
 
 type serviceMetrics struct {
@@ -27,23 +27,9 @@ type serviceMetrics struct {
 	queueDepth *obs.Gauge // service_queue_depth
 	running    *obs.Gauge // service_jobs_running
 
-	cacheSize   *obs.Gauge   // service_cache_entries
-	cacheHits   *obs.Counter // service_cache_hits_total (delta-fed)
-	cacheMisses *obs.Counter // service_cache_misses_total (delta-fed)
-	crossHits   *obs.Counter // service_cache_cross_hits_total (delta-fed)
-
-	persistEntries     *obs.Gauge   // service_persist_entries
-	persistLoaded      *obs.Gauge   // service_persist_loaded
-	persistFlushed     *obs.Counter // service_persist_flushed_total (delta-fed)
-	persistCompactions *obs.Counter // service_persist_compactions_total (delta-fed)
-	persistReadOnly    *obs.Gauge   // service_persist_read_only
-	cacheCorrupt       *obs.Counter // cache_corrupt_total (delta-fed)
-
 	// Crash safety (journal.go).
 	journalRecords   *obs.Counter // service_journal_appends_total
 	journalErrors    *obs.Counter // service_journal_errors_total
-	journalCorrupt   *obs.Counter // service_journal_corrupt_total (delta-fed)
-	journalReadOnly  *obs.Gauge   // service_journal_read_only
 	checkpoints      *obs.Counter // service_checkpoints_total
 	checkpointErrors *obs.Counter // service_checkpoint_errors_total
 	recovered        *obs.Counter // service_jobs_recovered_total
@@ -76,22 +62,8 @@ func newServiceMetrics(r *obs.Registry) serviceMetrics {
 		queueDepth: r.Gauge("service_queue_depth", "Admitted jobs waiting for a runner"),
 		running:    r.Gauge("service_jobs_running", "Jobs currently executing"),
 
-		cacheSize:   r.Gauge("service_cache_entries", "Entries in the shared solver-query cache"),
-		cacheHits:   r.Counter("service_cache_hits_total", "Solver queries answered by the shared cache"),
-		cacheMisses: r.Counter("service_cache_misses_total", "Solver queries the shared cache could not answer"),
-		crossHits:   r.Counter("service_cache_cross_hits_total", "Cache hits on entries loaded from the persistent log (cross-run hits)"),
-
-		persistEntries:     r.Gauge("service_persist_entries", "Entries in the persistent cache file"),
-		persistLoaded:      r.Gauge("service_persist_loaded", "Entries loaded from the persistent cache at startup/reload"),
-		persistFlushed:     r.Counter("service_persist_flushed_total", "Entries appended to the persistent cache log"),
-		persistCompactions: r.Counter("service_persist_compactions_total", "LRU compaction rewrites of the persistent cache log"),
-		persistReadOnly:    r.Gauge("service_persist_read_only", "1 when another process holds the cache writer lease"),
-		cacheCorrupt:       r.Counter("cache_corrupt_total", "Corrupt entries skipped while loading the persistent cache"),
-
 		journalRecords:   r.Counter("service_journal_appends_total", "Records appended to the durable job journal"),
 		journalErrors:    r.Counter("service_journal_errors_total", "Job-journal appends that failed (lease lost, I/O error, injected fault)"),
-		journalCorrupt:   r.Counter("service_journal_corrupt_total", "Corrupt job-journal entries skipped during recovery"),
-		journalReadOnly:  r.Gauge("service_journal_read_only", "1 when another process holds the job-journal writer lease"),
 		checkpoints:      r.Counter("service_checkpoints_total", "Exploration checkpoints written"),
 		checkpointErrors: r.Counter("service_checkpoint_errors_total", "Exploration checkpoint writes that failed or were dropped"),
 		recovered:        r.Counter("service_jobs_recovered_total", "Jobs rebuilt from the journal after a restart"),
@@ -124,69 +96,60 @@ func (m *serviceMetrics) completed(status string) {
 	}
 }
 
-// metricsBase remembers the last exported totals of the delta-fed
-// counters. Guarded by its own mutex: refreshMetrics is called from the
-// flusher, from /metrics scrapes and from Close concurrently.
-type metricsBase struct {
-	mu          sync.Mutex
-	cacheHits   int64
-	cacheMisses int64
-	crossHits   int64
-	flushed     int64
-	compactions int64
-	corruptions int64
-
-	journalCorrupt int64
-}
-
-// refreshMetrics re-exports the sampled sources (shared cache, persist
-// log) into the registry: gauges are set, counters advance by the delta
-// since the last refresh.
-func (s *Server) refreshMetrics() {
-	cs := s.cache.Stats()
-	s.base.mu.Lock()
-	defer s.base.mu.Unlock()
-
-	s.m.cacheSize.Set(int64(cs.Size))
-	s.m.cacheHits.Add(max64(0, cs.Hits-s.base.cacheHits))
-	s.base.cacheHits = max64(cs.Hits, s.base.cacheHits)
-	s.m.cacheMisses.Add(max64(0, cs.Misses-s.base.cacheMisses))
-	s.base.cacheMisses = max64(cs.Misses, s.base.cacheMisses)
-	s.m.crossHits.Add(max64(0, cs.DiskHits-s.base.crossHits))
-	s.base.crossHits = max64(cs.DiskHits, s.base.crossHits)
-
-	if s.persist != nil {
-		ps := s.persist.Stats()
-		s.m.persistEntries.Set(ps.FileEntries)
-		s.m.persistLoaded.Set(ps.Loaded)
-		s.m.persistFlushed.Add(max64(0, ps.Flushed-s.base.flushed))
-		s.base.flushed = max64(ps.Flushed, s.base.flushed)
-		s.m.persistCompactions.Add(max64(0, ps.Compactions-s.base.compactions))
-		s.base.compactions = max64(ps.Compactions, s.base.compactions)
-		s.m.cacheCorrupt.Add(max64(0, ps.Corruptions-s.base.corruptions))
-		s.base.corruptions = max64(ps.Corruptions, s.base.corruptions)
-		if ps.ReadOnly {
-			s.m.persistReadOnly.Set(1)
-		} else {
-			s.m.persistReadOnly.Set(0)
+// deriveMetrics registers the series read from the shared cache, the
+// persistent log and the job journal. Called once both logs are open.
+func (s *Server) deriveMetrics(r *obs.Registry) {
+	cache, persist, journal := s.cache, s.persist, s.journal
+	cs := func(f func(smt.CacheStats) int64) func() int64 {
+		return func() int64 { return f(cache.Stats()) }
+	}
+	ps := func(f func(smt.PersistStats) int64) func() int64 {
+		return func() int64 {
+			if persist == nil {
+				return 0
+			}
+			return f(persist.Stats())
 		}
 	}
-
-	if s.journal != nil {
-		js := s.journal.Stats()
-		s.m.journalCorrupt.Add(max64(0, js.Corruptions-s.base.journalCorrupt))
-		s.base.journalCorrupt = max64(js.Corruptions, s.base.journalCorrupt)
-		if js.ReadOnly {
-			s.m.journalReadOnly.Set(1)
-		} else {
-			s.m.journalReadOnly.Set(0)
+	js := func(f func(wal.Stats) int64) func() int64 {
+		return func() int64 {
+			if journal == nil {
+				return 0
+			}
+			return f(journal.Stats())
 		}
 	}
+	r.DeriveGauge("service_cache_entries", "Entries in the shared solver-query cache",
+		cs(func(st smt.CacheStats) int64 { return int64(st.Size) }))
+	r.DeriveCounter("service_cache_hits_total", "Solver queries answered by the shared cache",
+		cs(func(st smt.CacheStats) int64 { return st.Hits }))
+	r.DeriveCounter("service_cache_misses_total", "Solver queries the shared cache could not answer",
+		cs(func(st smt.CacheStats) int64 { return st.Misses }))
+	r.DeriveCounter("service_cache_cross_hits_total", "Cache hits on entries loaded from the persistent log (cross-run hits)",
+		cs(func(st smt.CacheStats) int64 { return st.DiskHits }))
+
+	r.DeriveGauge("service_persist_entries", "Entries in the persistent cache file",
+		ps(func(st smt.PersistStats) int64 { return st.FileEntries }))
+	r.DeriveGauge("service_persist_loaded", "Entries loaded from the persistent cache at startup/reload",
+		ps(func(st smt.PersistStats) int64 { return st.Loaded }))
+	r.DeriveCounter("service_persist_flushed_total", "Entries appended to the persistent cache log",
+		ps(func(st smt.PersistStats) int64 { return st.Flushed }))
+	r.DeriveCounter("service_persist_compactions_total", "LRU compaction rewrites of the persistent cache log",
+		ps(func(st smt.PersistStats) int64 { return st.Compactions }))
+	r.DeriveGauge("service_persist_read_only", "1 when another process holds the cache writer lease",
+		ps(func(st smt.PersistStats) int64 { return b2i(st.ReadOnly) }))
+	r.DeriveCounter("cache_corrupt_total", "Corrupt entries skipped while loading the persistent cache",
+		ps(func(st smt.PersistStats) int64 { return st.Corruptions }))
+
+	r.DeriveCounter("service_journal_corrupt_total", "Corrupt job-journal entries skipped during recovery",
+		js(func(st wal.Stats) int64 { return st.Corruptions }))
+	r.DeriveGauge("service_journal_read_only", "1 when another process holds the job-journal writer lease",
+		js(func(st wal.Stats) int64 { return b2i(st.ReadOnly) }))
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+func b2i(b bool) int64 {
+	if b {
+		return 1
 	}
-	return b
+	return 0
 }

@@ -166,7 +166,6 @@ type Server struct {
 
 	obsHandler http.Handler
 	m          serviceMetrics
-	base       metricsBase
 	log        *slog.Logger
 
 	// aggProf accumulates every finished job's exploration profile, so
@@ -253,7 +252,7 @@ func New(cfg Config) (*Server, error) {
 			"mode", j.mode, "resumed", j.resumed)
 	}
 	s.recoveredN = len(recovered)
-	s.refreshMetrics()
+	s.deriveMetrics(cfg.Obs.Registry())
 
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		s.wg.Add(1)
@@ -311,19 +310,19 @@ func (s *Server) runner() {
 	}
 }
 
-// flusher periodically flushes the shared cache to the persistent log
-// and refreshes the service gauges.
+// flusher periodically flushes the shared cache to the persistent log;
+// it has nothing to do when persistence is off.
 func (s *Server) flusher() {
 	defer close(s.flushDone)
+	if s.persist == nil {
+		return
+	}
 	t := time.NewTicker(s.cfg.FlushInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			if s.persist != nil {
-				s.persist.Flush() // ErrReadOnly is expected for followers
-			}
-			s.refreshMetrics()
+			s.persist.Flush() // ErrReadOnly is expected for followers
 		case <-s.flushQuit:
 			return
 		}
@@ -400,7 +399,7 @@ func (s *Server) buildJob(spec JobSpec) (*Job, *JobError) {
 	if mode != "explore" && mode != "concolic" {
 		return nil, &JobError{Code: CodeBadRequest, Msg: fmt.Sprintf("unknown mode %q (want explore or concolic)", spec.Mode)}
 	}
-	strategy, err := parseStrategy(spec.Strategy)
+	strategy, err := core.ParseStrategy(spec.Strategy)
 	if err != nil {
 		return nil, &JobError{Code: CodeBadRequest, Msg: err.Error()}
 	}
@@ -513,20 +512,6 @@ func clamp64(v, def, cap int64) int64 {
 		v = cap
 	}
 	return v
-}
-
-func parseStrategy(s string) (core.Strategy, error) {
-	switch s {
-	case "", "dfs":
-		return core.DFS, nil
-	case "bfs":
-		return core.BFS, nil
-	case "random":
-		return core.Random, nil
-	case "coverage":
-		return core.Coverage, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q (want dfs, bfs, random or coverage)", s)
 }
 
 // job looks a job up by ID.
@@ -660,7 +645,6 @@ func (s *Server) Close() error {
 			err = lerr
 		}
 	}
-	s.refreshMetrics()
 	if s.journal != nil {
 		if jerr := s.journal.Close(); jerr != nil && err == nil {
 			err = jerr

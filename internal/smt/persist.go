@@ -183,6 +183,11 @@ func decodeEntry(b []byte) (k cacheKey, r Result, model expr.Env, ok bool) {
 	}
 	nvars := binary.LittleEndian.Uint32(b[17:])
 	b = b[21:]
+	// Each variable takes at least a 2-byte name length and an 8-byte
+	// value; reject a count the bytes cannot hold before allocating.
+	if uint64(nvars) > uint64(len(b))/10 {
+		return k, r, nil, false
+	}
 	if nvars > 0 {
 		model = make(expr.Env, nvars)
 	}

@@ -1,9 +1,12 @@
 package smt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -412,4 +415,40 @@ func TestPersistFlushUnderConcurrentSolving(t *testing.T) {
 	if c2.Size() != cache.Size() {
 		t.Fatalf("reloaded %d entries, want %d", c2.Size(), cache.Size())
 	}
+}
+
+// TestPersistEntryHugeVarCount pins the count check in decodeEntry: a
+// CRC-valid 21-byte record claiming 2^32-1 model variables must be
+// rejected before the model map is sized from the count.
+func TestPersistEntryHugeVarCount(t *testing.T) {
+	rec := make([]byte, 21)
+	rec[16] = byte(Sat)
+	binary.LittleEndian.PutUint32(rec[17:], 0xFFFFFFFF)
+	if _, _, _, ok := decodeEntry(rec); ok {
+		t.Fatal("decodeEntry accepted a variable count the record cannot hold")
+	}
+}
+
+// FuzzPersistEntry feeds arbitrary payloads to the cache-record decoder:
+// it must not panic, must allocate in proportion to the input, and an
+// accepted entry must re-encode to bytes that decode to the same entry.
+func FuzzPersistEntry(f *testing.F) {
+	f.Add(encodeEntry(ExportedEntry{K0: 1, K1: 2, R: Unsat}))
+	f.Add(encodeEntry(ExportedEntry{K0: 3, K1: 4, R: Sat, Model: expr.Env{"in0": 7, "in1": 0xff}}))
+	f.Fuzz(func(t *testing.T, rec []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		k, r, model, ok := decodeEntry(rec)
+		runtime.ReadMemStats(&after)
+		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+64*len(rec)); n > limit {
+			t.Fatalf("decodeEntry allocated %d bytes for a %d-byte record (limit %d)", n, len(rec), limit)
+		}
+		if !ok {
+			return
+		}
+		k2, r2, model2, ok := decodeEntry(encodeEntry(ExportedEntry{K0: k.k0, K1: k.k1, R: r, Model: model}))
+		if !ok || k2 != k || r2 != r || !reflect.DeepEqual(model2, model) {
+			t.Fatalf("re-encoded entry decodes to %v %v %v (ok %v), want %v %v %v", k2, r2, model2, ok, k, r, model)
+		}
+	})
 }

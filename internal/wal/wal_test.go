@@ -382,3 +382,63 @@ func TestInjectedFaults(t *testing.T) {
 		})
 	}
 }
+
+// FuzzWALLoad loads a valid header followed by arbitrary bytes. Load
+// must not panic, must hand the callback only payloads whose frame
+// (length and CRC) is intact at the expected offset, and, once the
+// writer has truncated the corrupt suffix, a second Load must yield the
+// same payloads. The callback rejects payloads starting with 0xff, as
+// a consumer's record decoder would.
+func FuzzWALLoad(f *testing.F) {
+	var seed []byte
+	for _, p := range []string{"one", "two", "\xffrejected", "after"} {
+		pre := frame([]byte(p))
+		seed = append(append(seed, pre[:]...), p...)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)-2])
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		opts := Options{Magic: "TWAL", Version: 1, MaxPayload: 4096}
+		path := filepath.Join(t.TempDir(), "log")
+		hdr := (&Log{opts: opts}).header()
+		raw := append(hdr, tail...)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		load := func() [][]byte {
+			var got [][]byte
+			off := len(hdr)
+			if err := l.Load(func(p []byte) error {
+				pre := frame(p)
+				if off+len(pre)+len(p) > len(raw) || !bytes.Equal(raw[off:off+len(pre)], pre[:]) ||
+					!bytes.Equal(raw[off+len(pre):off+len(pre)+len(p)], p) {
+					t.Fatalf("payload %d handed to the callback is not the intact frame at offset %d", len(got), off)
+				}
+				off += len(pre) + len(p)
+				if p[0] == 0xff {
+					return errors.New("rejected")
+				}
+				got = append(got, append([]byte(nil), p...))
+				return nil
+			}); err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			return got
+		}
+		first := load()
+		second := load()
+		if len(first) != len(second) {
+			t.Fatalf("second load yielded %d payloads, first %d", len(second), len(first))
+		}
+		for i := range first {
+			if !bytes.Equal(first[i], second[i]) {
+				t.Fatalf("payload %d differs between loads", i)
+			}
+		}
+	})
+}
